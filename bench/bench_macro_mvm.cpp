@@ -1,30 +1,33 @@
-// Kernel-level throughput of the CiM macro MVM: packed (deploy-time
-// weight bit-plane packing, PR "ROM packing") vs legacy (per-call mask
-// derivation — the pre-packing baseline, still compiled unchanged) across
-// {rows, input_bits, weight_bits} geometries, in analog mode with the
-// default ROM noise, in noise-free analog mode (sigma_cell = 0,
-// adc noise = 0 — the configuration every fidelity test runs), and in
-// exact-cost mode. One JSON line per (geometry, variant, path), same
-// trajectory-file conventions as bench_serving_throughput:
+// Kernel-level throughput of the CiM macro MVM (MacroMvmEngine over the
+// deploy-time packed weights) across {rows, input_bits, weight_bits}
+// geometries, in analog mode with the default ROM noise, in noise-free
+// analog mode (sigma_cell = 0, adc noise = 0 — the configuration every
+// fidelity test runs), and in exact-cost mode. One JSON line per
+// (geometry, variant), same trajectory-file conventions as
+// bench_serving_throughput:
 //
 //   {"bench":"macro_mvm","path":"packed","variant":"analog",...,
 //    "ns_per_mac":..,"columns_per_s":..,"pack_ms":..,
-//    "speedup_vs_legacy":..}
+//    "host_cores":..,"cpu":".."}
 //
-// Before timing, each configuration asserts the packed outputs and run
-// stats are bit-identical to the legacy path under the same seed — the
-// bench refuses to report a speedup for a kernel that changed results.
+// Before timing, each analog configuration asserts the engine's outputs
+// and run stats are bit-identical to the scalar reference in
+// tests/reference_macro.hpp under the same noise keys — the bench
+// refuses to report a time for a kernel that changed results.
 //
 //   build/bench_macro_mvm [--seconds=S]   (default 0.4s per cell)
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <chrono>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/macro_engine.hpp"
+#include "reference_macro.hpp"
 
 namespace {
 
@@ -46,8 +49,6 @@ struct Variant {
 struct Measurement {
   double seconds = 0.0;
   std::uint64_t columns = 0;
-  double pack_ms = 0.0;
-  std::size_t packed_bytes = 0;
 };
 
 MacroConfig make_config(const Geometry& geom, bool noise_free) {
@@ -81,14 +82,18 @@ bool bit_identical(const std::vector<std::int32_t>& ya,
          sa.latency_ns == sb.latency_ns;
 }
 
-Measurement run_path(const MacroMvmEngine& engine, int m, int k, int p,
-                     const std::vector<std::int8_t>& w,
-                     const std::vector<std::uint8_t>& x, double min_seconds) {
+Measurement time_engine(const MacroMvmEngine& engine, int m, int k, int p,
+                        const std::vector<std::int8_t>& w,
+                        const std::vector<std::uint8_t>& x,
+                        const std::uint64_t* keys, double min_seconds) {
   std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
-  Rng rng(11);
   MacroRunStats stats;
   MvmScratch scratch;
-  MvmSession session{&rng, &stats, &scratch};
+  MvmSession session;
+  session.image_keys = keys;
+  session.image_count = 1;
+  session.stats = &stats;
+  session.scratch = &scratch;
   engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);  // warm
 
   Measurement out;
@@ -102,11 +107,25 @@ Measurement run_path(const MacroMvmEngine& engine, int m, int k, int p,
     if (out.seconds >= min_seconds && iters >= 3) break;
   }
   out.columns = static_cast<std::uint64_t>(iters) * p;
-  if (const PackedWeightsCache* cache = engine.packed_cache()) {
-    out.pack_ms = cache->total_pack_ms();
-    out.packed_bytes = cache->packed_bytes();
-  }
   return out;
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      std::string name =
+          colon == std::string::npos ? line : line.substr(colon + 1);
+      name.erase(0, name.find_first_not_of(' '));
+      for (char& c : name) {
+        if (c == '"' || c == '\\') c = ' ';
+      }
+      return name;
+    }
+  }
+  return "unknown";
 }
 
 }  // namespace
@@ -118,6 +137,8 @@ int main(int argc, char** argv) {
       min_seconds = std::atof(argv[i] + 10);
     }
   }
+  const unsigned host_cores = std::thread::hardware_concurrency();
+  const std::string cpu = cpu_model();
 
   const Geometry geometries[] = {
       {128, 8, 8},  // YOLO-scale: paper Table I operating point
@@ -132,6 +153,7 @@ int main(int argc, char** argv) {
   };
   const int m = 128;  // output rows (YOLO-scale conv channel tile)
   const int p = 16;   // im2col columns per engine call
+  const std::uint64_t image_key = 11;
 
   for (const Geometry& geom : geometries) {
     // k > rows exercises the multi-tile path on one of the sweeps.
@@ -146,57 +168,47 @@ int main(int argc, char** argv) {
       const MacroConfig cfg = make_config(geom, variant.noise_free);
       const CimMacro macro(cfg);
       PackedWeightsCache cache;
-      const MacroMvmEngine legacy(macro, variant.mode);
-      const MacroMvmEngine packed(macro, variant.mode, &cache);
+      const MacroMvmEngine engine(macro, variant.mode, cache);
 
       // Refuse to time a kernel whose results changed.
-      {
+      if (variant.mode == MacroMvmEngine::Mode::kAnalog) {
         std::vector<std::int32_t> ya(static_cast<std::size_t>(m) * p);
         std::vector<std::int32_t> yb(static_cast<std::size_t>(m) * p);
-        Rng ra(7);
-        Rng rb(7);
         MacroRunStats sa, sb;
-        MvmScratch sca, scb;
-        MvmSession sea{&ra, &sa, &sca}, seb{&rb, &sb, &scb};
-        legacy.mvm_batch(w.data(), m, k, x.data(), p, ya.data(), sea);
-        packed.mvm_batch(w.data(), m, k, x.data(), p, yb.data(), seb);
+        MvmScratch scratch;
+        MvmSession session;
+        session.image_keys = &image_key;
+        session.image_count = 1;
+        session.stats = &sa;
+        session.scratch = &scratch;
+        engine.mvm_batch(w.data(), m, k, x.data(), p, ya.data(), session);
+        reference::mvm_batch(engine, w.data(), m, k, x.data(), p, yb.data(),
+                             &image_key, 1, /*layer=*/0, sb);
         if (!bit_identical(ya, yb, sa, sb)) {
           std::fprintf(stderr,
-                       "FATAL: packed path diverged from legacy at "
-                       "rows=%d ib=%d wb=%d variant=%s\n",
+                       "FATAL: packed kernel diverged from the scalar "
+                       "reference at rows=%d ib=%d wb=%d variant=%s\n",
                        geom.rows, geom.input_bits, geom.weight_bits,
                        variant.name);
           return 1;
         }
       }
 
-      const Measurement lm = run_path(legacy, m, k, p, w, x, min_seconds);
-      const Measurement pm = run_path(packed, m, k, p, w, x, min_seconds);
+      const Measurement pm =
+          time_engine(engine, m, k, p, w, x, &image_key, min_seconds);
       const double macs = static_cast<double>(m) * k;
-      const double legacy_ns_per_mac =
-          lm.seconds * 1e9 / (macs * static_cast<double>(lm.columns));
-      const double packed_ns_per_mac =
+      const double ns_per_mac =
           pm.seconds * 1e9 / (macs * static_cast<double>(pm.columns));
-      const double legacy_cols_s =
-          static_cast<double>(lm.columns) / lm.seconds;
-      const double packed_cols_s =
-          static_cast<double>(pm.columns) / pm.seconds;
-
-      std::printf(
-          "{\"bench\":\"macro_mvm\",\"path\":\"legacy\",\"variant\":\"%s\","
-          "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
-          "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f}\n",
-          variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
-          p, legacy_ns_per_mac, legacy_cols_s);
+      const double cols_s = static_cast<double>(pm.columns) / pm.seconds;
       std::printf(
           "{\"bench\":\"macro_mvm\",\"path\":\"packed\",\"variant\":\"%s\","
           "\"rows\":%d,\"input_bits\":%d,\"weight_bits\":%d,\"m\":%d,"
           "\"k\":%d,\"p\":%d,\"ns_per_mac\":%.4f,\"columns_per_s\":%.1f,"
-          "\"pack_ms\":%.4f,\"packed_bytes\":%zu,"
-          "\"speedup_vs_legacy\":%.2f}\n",
+          "\"pack_ms\":%.4f,\"packed_bytes\":%zu,\"host_cores\":%u,"
+          "\"cpu\":\"%s\"}\n",
           variant.name, geom.rows, geom.input_bits, geom.weight_bits, m, k,
-          p, packed_ns_per_mac, packed_cols_s, pm.pack_ms, pm.packed_bytes,
-          packed_cols_s / legacy_cols_s);
+          p, ns_per_mac, cols_s, cache.total_pack_ms(), cache.packed_bytes(),
+          host_cores, cpu.c_str());
       std::fflush(stdout);
     }
   }

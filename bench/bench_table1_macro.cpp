@@ -39,7 +39,8 @@ void print_tables() {
               rom_density / sram_density);
 }
 
-/// Microbenchmark: one full-width analog MVM through the ROM macro.
+/// Microbenchmark: one full-width analog MVM through the ROM macro
+/// (weights packed once, as deployment does).
 void BM_RomMacroMvm(benchmark::State& state) {
   const CimMacro macro(default_rom_macro());
   Rng rng(1);
@@ -50,9 +51,11 @@ void BM_RomMacroMvm(benchmark::State& state) {
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
   for (auto& v : w) v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
   for (auto& v : x) v = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+  const PackedRomWeights packed(w.data(), m, k, macro.config().geometry);
   MacroRunStats stats;
+  std::uint64_t key = 1;
   for (auto _ : state) {
-    macro.mvm(w.data(), m, k, x.data(), y.data(), rng, stats);
+    macro.mvm_packed(packed, 0, x.data(), y.data(), key++, stats);
     benchmark::DoNotOptimize(y.data());
   }
   state.counters["modeled_TOPS/W"] =
@@ -66,15 +69,17 @@ BENCHMARK(BM_RomMacroMvm);
 /// Microbenchmark: the exact-cost path (accuracy studies disabled).
 void BM_RomMacroMvmExactCost(benchmark::State& state) {
   const CimMacro macro(default_rom_macro());
-  Rng rng(2);
   const int k = macro.config().geometry.rows;
   const int m = macro.config().geometry.weights_per_row();
   std::vector<std::int8_t> w(static_cast<std::size_t>(m) * k, 3);
   std::vector<std::uint8_t> x(static_cast<std::size_t>(k), 7);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
+  const PackedRomWeights bounds(w.data(), m, k, macro.config().geometry,
+                                /*pack_planes=*/false);
   MacroRunStats stats;
   for (auto _ : state) {
-    macro.mvm_exact_cost(w.data(), m, k, x.data(), y.data(), stats);
+    macro.mvm_packed_exact_cost(bounds, 0, w.data(), x.data(), y.data(),
+                                stats);
     benchmark::DoNotOptimize(y.data());
   }
 }

@@ -3,9 +3,8 @@
 //
 // A SAR-style ADC digitizes the remnant bitline voltage. The model
 // quantizes uniformly over [v_lo, v_hi] with optional input-referred
-// Gaussian noise and charges a fixed energy per conversion.
-
-#include "common/rng.hpp"
+// Gaussian noise (added by the read chain, circuit/cim_array.hpp) and
+// charges a fixed energy per conversion.
 
 namespace yoloc {
 
@@ -26,10 +25,8 @@ class Adc {
 
   /// Digitize a voltage: returns a code in [0, 2^bits - 1]. Codes grow as
   /// the voltage *falls* from v_hi (code 0 = no discharge), matching the
-  /// "count of ON cells" convention of the array model.
-  [[nodiscard]] int quantize(double voltage, Rng& rng) const;
-
-  /// Deterministic variant (no noise draw) for analysis.
+  /// "count of ON cells" convention of the array model. Noise-free: the
+  /// read chain adds the input-referred noise before quantizing.
   [[nodiscard]] int quantize_ideal(double voltage) const;
 
   [[nodiscard]] int code_count() const { return levels_; }

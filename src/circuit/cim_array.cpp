@@ -52,68 +52,26 @@ CimArrayModel::CimArrayModel(const BitlineParams& bitline, AdcParams adc,
               "group size or cell current");
   counts_per_code_ =
       static_cast<double>(lsb_count_steps(group_size, adc_.params().bits));
-}
 
-// NOTE: CimMacro::mvm_packed inlines this chain (constants from
-// read_chain_consts() below); any change here must be mirrored there.
-// The packed-vs-legacy bit-identity suite (`ctest -L macro`) fails loudly
-// on drift.
-double CimArrayModel::read_count(int exact_count, int active_rows, Rng& rng,
-                                 ArrayReadStats& stats) const {
-  YOLOC_CHECK(exact_count >= 0 && exact_count <= active_rows,
-              "cim array: count exceeds active rows");
-  YOLOC_CHECK(active_rows <= group_size_, "cim array: group overflow");
-  double effective = exact_count;
-  const double sigma = bitline_.params().sigma_cell;
-  if (sigma > 0.0 && exact_count > 0) {
-    effective += rng.normal(0.0, sigma * std::sqrt(exact_count));
-    if (effective < 0.0) effective = 0.0;
-  }
-  const double v = bitline_.voltage_for_count(effective);
-  const int code = adc_.quantize(v, rng);
-  stats.adc_conversions += 1;
-  stats.adc_energy_pj += adc_.params().energy_pj;
-  stats.precharge_energy_pj += bitline_.precharge_energy_pj(effective);
-  return code * counts_per_code_;
-}
-
-double CimArrayModel::read_count(int exact_count, int active_rows, Rng& rng,
-                                 ArrayReadStats& stats,
-                                 const AdcDrift& drift) const {
-  return read_count(exact_count, active_rows, rng, stats) * drift.gain +
-         drift.offset_counts;
-}
-
-double CimArrayModel::read_count_ideal(int exact_count,
-                                       ArrayReadStats& stats) const {
-  const double v = bitline_.voltage_for_count(exact_count);
-  const int code = adc_.quantize_ideal(v);
-  stats.adc_conversions += 1;
-  stats.adc_energy_pj += adc_.params().energy_pj;
-  stats.precharge_energy_pj += bitline_.precharge_energy_pj(exact_count);
-  return code * counts_per_code_;
-}
-
-CimArrayModel::ReadChainConsts CimArrayModel::read_chain_consts() const {
-  ReadChainConsts consts;
   const BitlineParams& bl = bitline_.params();
-  const AdcParams& adc = adc_.params();
-  consts.sigma_cell = bl.sigma_cell;
-  consts.noise_sigma_v = adc.noise_sigma_v;
-  consts.delta_v = bitline_.delta_v_per_cell();
-  consts.v_precharge = bl.v_precharge;
-  consts.v_floor = bl.v_floor;
-  consts.v_lo = adc.v_lo;
-  consts.v_hi = adc.v_hi;
-  consts.lsb = adc_.lsb_voltage();
-  consts.levels = adc_.code_count();
-  consts.counts_per_code = counts_per_code_;
-  consts.adc_energy_pj = adc.energy_pj;
-  // precharge_energy_pj computes ((c_bl * v_pre) * dv) * 1e-3; hoisting
-  // the (c_bl * v_pre) product preserves the rounding order exactly.
-  consts.cv = bl.c_bl_ff * bl.v_precharge;
-  consts.bl_range = bl.v_precharge - bl.v_floor;
-  return consts;
+  const AdcParams& ap = adc_.params();
+  cell_noise_ = bl.sigma_cell > 0.0;
+  cell_sigma_.resize(static_cast<std::size_t>(group_size) + 1);
+  for (int c = 0; c <= group_size; ++c) {
+    cell_sigma_[static_cast<std::size_t>(c)] =
+        bl.sigma_cell * std::sqrt(static_cast<double>(c));
+  }
+  adc_sigma_v_ = ap.noise_sigma_v;
+  delta_v_ = bitline_.delta_v_per_cell();
+  v_precharge_ = bl.v_precharge;
+  v_floor_ = bl.v_floor;
+  v_lo_ = ap.v_lo;
+  v_hi_ = ap.v_hi;
+  lsb_ = adc_.lsb_voltage();
+  levels_ = adc_.code_count();
+  adc_energy_pj_ = ap.energy_pj;
+  cv_ = bl.c_bl_ff * bl.v_precharge;
+  bl_range_ = bl.v_precharge - bl.v_floor;
 }
 
 void CimArrayModel::charge_wl_pulses(std::uint64_t pulses,

@@ -89,7 +89,9 @@ class ByteReader {
   }
   void bytes(void* dst, std::size_t size) {
     need(size, "byte payload");
-    std::memcpy(dst, data_ + pos_, size);
+    // An empty tensor passes a null dst; memcpy requires non-null even
+    // for zero bytes.
+    if (size != 0) std::memcpy(dst, data_ + pos_, size);
     pos_ += size;
   }
 

@@ -1,9 +1,11 @@
 #pragma once
 // Deterministic random number generation.
 //
-// Every stochastic component in the repository (dataset synthesis, weight
-// init, cell-current variation, ADC noise) draws from an explicitly seeded
-// Rng so that experiments are bit-reproducible across runs. The engine is
+// Stream-style stochastic components (dataset synthesis, weight init,
+// shuffles) draw from an explicitly seeded Rng so that experiments are
+// bit-reproducible across runs. Decisions that must not depend on call
+// order — analog read noise, fault patterns, trace sampling — are keyed
+// hashes instead (common/hash.hpp). The engine is
 // xoshiro256** (public-domain algorithm by Blackman & Vigna), which is
 // fast, has 256 bits of state and passes BigCrush.
 

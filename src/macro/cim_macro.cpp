@@ -1,11 +1,12 @@
 #include "macro/cim_macro.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
+#include "common/normal_quantile.hpp"
 
 namespace yoloc {
 
@@ -35,53 +36,15 @@ CimMacro::CimMacro(MacroConfig config)
                   0,
               "cim macro: rows must divide evenly into activation groups");
 
-  // Analog read chain constants for the packed path, derived by
-  // CimArrayModel next to the canonical read_count(); sqrt_count_
-  // pre-tabulates sqrt of the integer ON-cell count.
-  read_ = array_.read_chain_consts();
-  for (int c = 0; c <= 128; ++c) {
-    sqrt_count_[static_cast<std::size_t>(c)] =
-        std::sqrt(static_cast<double>(c));
-  }
-
-  // Noise-free transfer tables: with both noise sources at zero every
-  // draw in read_count is scaled by 0.0, so the estimate collapses to a
-  // pure function of the exact count. Tabulating it through the real
-  // bitline/ADC models keeps the table bit-identical to the legacy path.
-  noise_free_ = read_.sigma_cell == 0.0 && read_.noise_sigma_v == 0.0;
   if (config_.faults.any()) {
     faults_ = std::make_shared<FaultModel>(
         config_.faults, static_cast<std::uint64_t>(config_.kind),
         config_.geometry.rows);
   }
-  for (int c = 0; c <= 128; ++c) {
-    const double v =
-        array_.bitline().voltage_for_count(static_cast<double>(c));
-    const int code = array_.adc().quantize_ideal(v);
-    ideal_estimate_[static_cast<std::size_t>(c)] =
-        code * read_.counts_per_code;
-    ideal_precharge_pj_[static_cast<std::size_t>(c)] =
-        array_.bitline().precharge_energy_pj(static_cast<double>(c));
-  }
 }
 
 double CimMacro::single_pass_latency_ns() const {
   return config_.geometry.input_bits * config_.geometry.clock_ns;
-}
-
-void CimMacro::charge_op_costs(int m, int k, const std::uint8_t* x,
-                               MacroRunStats& stats) const {
-  const auto& g = config_.geometry;
-  // Wordline pulses: one per active row per input cycle with bit set; the
-  // pulse is shared by every column of the subarray, so it is charged
-  // once per row-cycle (not per output).
-  std::uint64_t pulses = 0;
-  for (int t = 0; t < g.input_bits; ++t) {
-    for (int i = 0; i < k; ++i) {
-      if ((x[i] >> t) & 1u) ++pulses;
-    }
-  }
-  charge_op_costs(m, k, pulses, stats);
 }
 
 void CimMacro::charge_op_costs(int m, int k, std::uint64_t pulses,
@@ -104,107 +67,6 @@ void CimMacro::charge_op_costs(int m, int k, std::uint64_t pulses,
   stats.macs += static_cast<std::uint64_t>(m) * k;
 }
 
-void CimMacro::mvm(const std::int8_t* w, int m, int k, const std::uint8_t* x,
-                   std::int32_t* y, Rng& rng, MacroRunStats& stats) const {
-  const auto& g = config_.geometry;
-  YOLOC_CHECK(k >= 1 && k <= g.rows, "cim macro: k exceeds subarray rows");
-  YOLOC_CHECK(m >= 1, "cim macro: m >= 1");
-
-  // Input bit-planes.
-  RowMask xbits[8];
-  for (int t = 0; t < g.input_bits; ++t) {
-    for (int i = 0; i < k; ++i) {
-      if ((x[i] >> t) & 1u) xbits[t].set(i);
-    }
-  }
-
-  // Fault overlay (nullptr in the common fault-off case: the hot loop
-  // then only pays this one pointer test per call). Coordinates are
-  // local tile coordinates — see macro/fault_model.hpp for why that
-  // keeps this path bit-identical to the packed path under faults.
-  const FaultModel* faults =
-      faults_ != nullptr && faults_->active() ? faults_.get() : nullptr;
-  const bool transients = faults != nullptr && faults->has_transients();
-
-  const int groups = (k + g.rows_per_activation - 1) / g.rows_per_activation;
-  for (int j = 0; j < m; ++j) {
-    // Weight bit-planes for output j: ROM columns store the raw
-    // two's-complement bit pattern.
-    RowMask wbits[8];
-    for (int i = 0; i < k; ++i) {
-      const std::uint8_t wv = static_cast<std::uint8_t>(
-          w[static_cast<std::size_t>(j) * k + i]);
-      for (int b = 0; b < g.weight_bits; ++b) {
-        if ((wv >> b) & 1u) wbits[b].set(i);
-      }
-    }
-    if (faults != nullptr) {
-      for (int b = 0; b < g.weight_bits; ++b) {
-        const FaultModel::PlaneFaults pf = faults->plane(j, b);
-        wbits[b].or_with(pf.force_one);
-        wbits[b].and_not(pf.force_zero);
-      }
-    }
-
-    double acc = 0.0;
-    for (int b = 0; b < g.weight_bits; ++b) {
-      const double bit_weight =
-          (b == g.weight_bits - 1) ? -static_cast<double>(1 << b)
-                                   : static_cast<double>(1 << b);
-      AdcDrift drift;
-      if (faults != nullptr) drift = faults->adc_drift(j, b);
-      for (int t = 0; t < g.input_bits; ++t) {
-        RowMask wb = wbits[b];
-        if (transients) wb.xor_with(faults->transient_flips(j, b, t));
-        for (int grp = 0; grp < groups; ++grp) {
-          const int lo = grp * g.rows_per_activation;
-          const int hi = std::min(k, lo + g.rows_per_activation);
-          const int exact = wb.count_and(xbits[t], lo, hi);
-          // The drift overload multiplies/offsets AFTER the canonical
-          // chain; taking the base overload when fault-off keeps that
-          // path's instruction stream (and FP rounding) untouched.
-          const double est =
-              faults != nullptr
-                  ? array_.read_count(exact, hi - lo, rng, stats.array,
-                                      drift)
-                  : array_.read_count(exact, hi - lo, rng, stats.array);
-          acc += est * bit_weight * static_cast<double>(1 << t);
-        }
-      }
-    }
-    y[j] = static_cast<std::int32_t>(std::llround(acc));
-  }
-  charge_op_costs(m, k, x, stats);
-}
-
-void CimMacro::mvm_exact_cost(const std::int8_t* w, int m, int k,
-                              const std::uint8_t* x, std::int32_t* y,
-                              MacroRunStats& stats) const {
-  const auto& g = config_.geometry;
-  YOLOC_CHECK(k >= 1 && k <= g.rows, "cim macro: k exceeds subarray rows");
-  for (int j = 0; j < m; ++j) {
-    std::int64_t acc = 0;
-    for (int i = 0; i < k; ++i) {
-      acc += static_cast<std::int64_t>(w[static_cast<std::size_t>(j) * k + i]) *
-             x[i];
-    }
-    y[j] = static_cast<std::int32_t>(acc);
-  }
-  // Pay the analog read energy at the average activity level without
-  // drawing noise samples (cost-only path).
-  const int groups = (k + g.rows_per_activation - 1) / g.rows_per_activation;
-  const std::uint64_t conversions =
-      static_cast<std::uint64_t>(m) * g.weight_bits * g.input_bits * groups;
-  stats.array.adc_conversions += conversions;
-  stats.array.adc_energy_pj +=
-      static_cast<double>(conversions) * config_.adc.energy_pj;
-  // Average discharge ~ quarter of the group (random data assumption).
-  stats.array.precharge_energy_pj +=
-      static_cast<double>(conversions) *
-      array_.bitline().precharge_energy_pj(0.25 * g.rows_per_activation);
-  charge_op_costs(m, k, x, stats);
-}
-
 void CimMacro::check_packed_tile(const PackedRomWeights& packed,
                                  int tile_index) const {
   const auto& g = config_.geometry;
@@ -218,7 +80,8 @@ void CimMacro::check_packed_tile(const PackedRomWeights& packed,
 }
 
 void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
-                          const std::uint8_t* x, std::int32_t* y, Rng& rng,
+                          const std::uint8_t* x, std::int32_t* y,
+                          std::uint64_t noise_key,
                           MacroRunStats& stats) const {
   check_packed_tile(packed, tile_index);
   YOLOC_CHECK(packed.has_planes(),
@@ -232,8 +95,7 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
   const int input_bits = packed.input_bits();
 
   // Activation bit-planes: ONE scan of x builds both the planes and the
-  // wordline pulse count (the legacy path scans x a second time inside
-  // charge_op_costs).
+  // wordline pulse count.
   RowMask xbits[8];
   for (int i = 0; i < k; ++i) {
     const unsigned v = x[i];
@@ -251,119 +113,66 @@ void CimMacro::mvm_packed(const PackedRomWeights& packed, int tile_index,
 
   const double* bcw = packed.bit_cycle_weight();
   const RowMask* gmasks = tile.group_masks.data();
-  const CimArrayModel::ReadChainConsts& rc = read_;
 
-  // Fault overlay — same local-coordinate pattern as the legacy path
-  // (the packed tile's rows ARE the legacy chunk's rows), so outputs and
-  // stats stay bit-identical between the two paths under faults.
+  // Fault overlay in local tile coordinates (macro/fault_model.hpp).
   const FaultModel* faults =
       faults_ != nullptr && faults_->active() ? faults_.get() : nullptr;
   const bool transients = faults != nullptr && faults->has_transients();
 
-  // Energy accumulators chained from the current stats values so the
-  // add sequence (and therefore the floating-point rounding) is
-  // identical to the legacy per-read += updates.
-  std::uint64_t conversions = stats.array.adc_conversions;
-  double adc_energy = stats.array.adc_energy_pj;
-  double precharge_energy = stats.array.precharge_energy_pj;
+  // Noise keys (file comment): `counter` walks the tile's SplitMix64
+  // stream, one element per read in (j, b, t, grp) order.
+  const bool cell_noise = array_.cell_noise();
+  const bool adc_noise = array_.adc_noise();
+  std::uint64_t counter =
+      hash_combine(noise_key, static_cast<std::uint64_t>(tile_index));
 
-  if (noise_free_) {
-    // Draw-free fast path: every noise term is scaled by 0.0 in the
-    // legacy chain, so the ADC estimate is a pure table lookup on the
-    // exact count. (The session RNG is intentionally not advanced.)
-    for (int j = 0; j < m; ++j) {
-      const RowMask* wrow =
-          tile.wbits.data() + static_cast<std::size_t>(j) * weight_bits;
-      double acc = 0.0;
-      for (int b = 0; b < weight_bits; ++b) {
-        RowMask wb = wrow[b];
-        AdcDrift drift;
-        if (faults != nullptr) {
-          const FaultModel::PlaneFaults pf = faults->plane(j, b);
-          wb.or_with(pf.force_one);
-          wb.and_not(pf.force_zero);
-          drift = faults->adc_drift(j, b);
-        }
-        for (int t = 0; t < input_bits; ++t) {
-          RowMask wbt = wb;
-          if (transients) wbt.xor_with(faults->transient_flips(j, b, t));
-          const RowMask xt = xbits[t];
-          const double cycle_weight =
-              bcw[static_cast<std::size_t>(b) * input_bits + t];
-          for (int grp = 0; grp < groups; ++grp) {
-            const int exact = wbt.count_and3(xt, gmasks[grp]);
-            double est = ideal_estimate_[static_cast<std::size_t>(exact)];
-            if (faults != nullptr) {
-              est = est * drift.gain + drift.offset_counts;
+  // Local copy so the per-read accumulators stay in registers.
+  ArrayReadStats reads = stats.array;
+  for (int j = 0; j < m; ++j) {
+    const RowMask* wrow =
+        tile.wbits.data() + static_cast<std::size_t>(j) * weight_bits;
+    double acc = 0.0;
+    for (int b = 0; b < weight_bits; ++b) {
+      RowMask wb = wrow[b];
+      AdcDrift drift;
+      if (faults != nullptr) {
+        const FaultModel::PlaneFaults pf = faults->plane(j, b);
+        wb.or_with(pf.force_one);
+        wb.and_not(pf.force_zero);
+        drift = faults->adc_drift(j, b);
+      }
+      for (int t = 0; t < input_bits; ++t) {
+        RowMask wbt = wb;
+        if (transients) wbt.xor_with(faults->transient_flips(j, b, t));
+        const RowMask xt = xbits[t];
+        const double cycle_weight =
+            bcw[static_cast<std::size_t>(b) * input_bits + t];
+        for (int grp = 0; grp < groups; ++grp) {
+          const int exact = wbt.count_and3(xt, gmasks[grp]);
+          double z_cell = 0.0;
+          double z_adc = 0.0;
+          if (cell_noise || adc_noise) {
+            const std::uint64_t bits = splitmix64(counter);
+            if (cell_noise && exact > 0) {
+              z_cell = normal_from_bits(static_cast<std::uint32_t>(bits));
             }
-            acc += est * cycle_weight;
-            ++conversions;
-            adc_energy += rc.adc_energy_pj;
-            precharge_energy +=
-                ideal_precharge_pj_[static_cast<std::size_t>(exact)];
+            if (adc_noise) {
+              z_adc =
+                  normal_from_bits(static_cast<std::uint32_t>(bits >> 32));
+            }
           }
+          counter += kSplitMixGamma;
+          double est = array_.read(exact, z_cell, z_adc, reads);
+          if (faults != nullptr) {
+            est = est * drift.gain + drift.offset_counts;
+          }
+          acc += est * cycle_weight;
         }
       }
-      y[j] = static_cast<std::int32_t>(std::llround(acc));
     }
-  } else {
-    for (int j = 0; j < m; ++j) {
-      const RowMask* wrow =
-          tile.wbits.data() + static_cast<std::size_t>(j) * weight_bits;
-      double acc = 0.0;
-      for (int b = 0; b < weight_bits; ++b) {
-        RowMask wb = wrow[b];
-        AdcDrift drift;
-        if (faults != nullptr) {
-          const FaultModel::PlaneFaults pf = faults->plane(j, b);
-          wb.or_with(pf.force_one);
-          wb.and_not(pf.force_zero);
-          drift = faults->adc_drift(j, b);
-        }
-        for (int t = 0; t < input_bits; ++t) {
-          RowMask wbt = wb;
-          if (transients) wbt.xor_with(faults->transient_flips(j, b, t));
-          const RowMask xt = xbits[t];
-          const double cycle_weight =
-              bcw[static_cast<std::size_t>(b) * input_bits + t];
-          for (int grp = 0; grp < groups; ++grp) {
-            const int exact = wbt.count_and3(xt, gmasks[grp]);
-            // Inlined CimArrayModel::read_count — identical operations
-            // in identical order, same RNG draws.
-            double effective = exact;
-            if (rc.sigma_cell > 0.0 && exact > 0) {
-              effective += rng.normal(
-                  0.0, rc.sigma_cell *
-                           sqrt_count_[static_cast<std::size_t>(exact)]);
-              if (effective < 0.0) effective = 0.0;
-            }
-            const double v =
-                std::max(rc.v_precharge - effective * rc.delta_v, rc.v_floor);
-            const double noisy = v + rng.normal(0.0, rc.noise_sigma_v);
-            const double clamped = std::clamp(noisy, rc.v_lo, rc.v_hi);
-            int code =
-                static_cast<int>(std::lround((rc.v_hi - clamped) / rc.lsb));
-            code = std::clamp(code, 0, rc.levels - 1);
-            double est = code * rc.counts_per_code;
-            if (faults != nullptr) {
-              est = est * drift.gain + drift.offset_counts;
-            }
-            acc += est * cycle_weight;
-            ++conversions;
-            adc_energy += rc.adc_energy_pj;
-            const double dv =
-                std::min(effective * rc.delta_v, rc.bl_range);
-            precharge_energy += rc.cv * dv * 1e-3;
-          }
-        }
-      }
-      y[j] = static_cast<std::int32_t>(std::llround(acc));
-    }
+    y[j] = static_cast<std::int32_t>(std::llround(acc));
   }
-
-  stats.array.adc_conversions = conversions;
-  stats.array.adc_energy_pj = adc_energy;
-  stats.array.precharge_energy_pj = precharge_energy;
+  stats.array = reads;
   charge_op_costs(m, k, pulses, stats);
 }
 

@@ -17,24 +17,28 @@
 // analog parameters (ROM: low mismatch; SRAM: higher mismatch, heavier
 // wordlines) and the cost constants.
 //
-// Two functional paths exist per mode:
-//   * mvm / mvm_exact_cost: the legacy per-call path that derives weight
-//     bit-planes from the raw int8 buffer on every call.
-//   * mvm_packed / mvm_packed_exact_cost: the deploy-time fast path over
-//     a PackedRomWeights tile. Bit-identical to the legacy path — same
-//     outputs, same stats, and (in analog mode) the same RNG draw order
-//     (j, b, t, grp) — just without re-deriving what ROM weights cannot
-//     change. When the config is noise-free (sigma_cell == 0 AND
-//     adc.noise_sigma_v == 0) the packed analog path additionally skips
-//     the zero-scaled noise draws and reads the ADC transfer from a
-//     precomputed count -> estimate table; outputs and stats stay
-//     bit-identical (every skipped draw was multiplied by 0), but the
-//     session RNG is no longer advanced by such calls.
+// Two paths, one per engine mode, both over a deploy-time packed tile
+// (macro/packed_weights.hpp):
+//   * mvm_packed: the analog model. Every read goes through the one read
+//     chain, CimArrayModel::read().
+//   * mvm_packed_exact_cost: bit-exact integer math that still pays the
+//     modeled energy/latency (cost studies without accuracy modeling).
+//
+// Analog noise is counter-based: a read's two standard normals (cell
+// mismatch, ADC noise) are a pure function of a 64-bit key, never of a
+// stream position. The caller passes one key per (image, layer, column)
+// (MacroMvmEngine::noise_column_key); mvm_packed folds in the tile index,
+// and read number n = ((j * weight_bits + b) * input_bits + t) * groups
+// + grp of the tile takes its 64 bits from
+//   splitmix64(tile_key + n * kSplitMixGamma)
+// — the low 32 bits give z_cell, the high 32 bits z_adc, each through
+// normal_from_bits() (common/normal_quantile.hpp). No sample depends on
+// any other read, on the loop order or on what else shares the call, so
+// the reads may be computed in any order or in parallel. A zero sigma
+// skips its draw.
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "macro/fault_model.hpp"
 #include "macro/macro_config.hpp"
@@ -56,42 +60,27 @@ class CimMacro {
  public:
   explicit CimMacro(MacroConfig config);
 
-  /// Analog-modeled MVM: y (int32, m entries) ~= W (m x k, int8) * x
-  /// (k entries, uint8). k must fit the subarray rows. Accumulates
-  /// activity into stats. Noise/quantization follow the circuit model.
-  void mvm(const std::int8_t* w, int m, int k, const std::uint8_t* x,
-           std::int32_t* y, Rng& rng, MacroRunStats& stats) const;
-
-  /// Bit-exact variant that still pays the modeled energy/latency —
-  /// used to isolate cost modeling from accuracy modeling.
-  void mvm_exact_cost(const std::int8_t* w, int m, int k,
-                      const std::uint8_t* x, std::int32_t* y,
-                      MacroRunStats& stats) const;
-
-  /// Analog fast path over one packed tile: bit-identical to mvm() on
-  /// the same tile (same y, same stats, same RNG draw order). `x` holds
-  /// the tile's k_size activation entries; `y` receives m partial sums.
+  /// Analog-modeled MVM over one packed tile: y (m partial sums) ~= W_tile
+  /// x, noise and quantization per the circuit model. `x` holds the
+  /// tile's k_size activation entries; `noise_key` keys every noise
+  /// sample of the call (file comment). Accumulates activity into stats.
   /// `packed` must have been built against this macro's geometry.
   void mvm_packed(const PackedRomWeights& packed, int tile_index,
-                  const std::uint8_t* x, std::int32_t* y, Rng& rng,
-                  MacroRunStats& stats) const;
+                  const std::uint8_t* x, std::int32_t* y,
+                  std::uint64_t noise_key, MacroRunStats& stats) const;
 
-  /// Exact-cost fast path over one packed tile: bit-identical to
-  /// mvm_exact_cost() on the same tile. `w` is the FULL (m x k) weight
-  /// matrix the packing was built from (the integer MAC reads the raw
-  /// rows in place — no per-call chunk copy); `packed` supplies the tile
-  /// boundaries and cost geometry. No RNG is consumed (the legacy exact
-  /// path draws none either).
+  /// Exact-cost MVM over one packed tile: the integer product plus the
+  /// modeled energy/latency of the analog reads (at an average activity
+  /// level) — isolates cost modeling from accuracy modeling. `w` is the
+  /// FULL (m x k) weight matrix the packing was built from (the integer
+  /// MAC reads the raw rows in place); `packed` supplies the tile
+  /// boundaries and cost geometry. Draws no noise.
   void mvm_packed_exact_cost(const PackedRomWeights& packed, int tile_index,
                              const std::int8_t* w, const std::uint8_t* x,
                              std::int32_t* y, MacroRunStats& stats) const;
 
   [[nodiscard]] const MacroConfig& config() const { return config_; }
   [[nodiscard]] const CimArrayModel& array_model() const { return array_; }
-
-  /// True when the analog chain draws no noise (sigma_cell == 0 and ADC
-  /// noise_sigma_v == 0): the packed path then runs draw-free.
-  [[nodiscard]] bool noise_free() const { return noise_free_; }
 
   /// The macro's fault model, or nullptr when config().faults.any() is
   /// false (the common case — no model is constructed at all). The
@@ -104,12 +93,8 @@ class CimMacro {
   [[nodiscard]] double single_pass_latency_ns() const;
 
  private:
-  /// Shared bookkeeping for both mvm variants (scans x for pulses).
-  void charge_op_costs(int m, int k, const std::uint8_t* x,
-                       MacroRunStats& stats) const;
-  /// Same bookkeeping with the wordline pulse count already known (the
-  /// packed path derives it from the activation bit-plane popcounts
-  /// instead of a second scan of x).
+  /// Bookkeeping shared by both paths: wordline pulses, shift-adds,
+  /// conversion latency, op and MAC counts.
   void charge_op_costs(int m, int k, std::uint64_t pulses,
                        MacroRunStats& stats) const;
 
@@ -119,21 +104,9 @@ class CimMacro {
   MacroConfig config_;
   CimArrayModel array_;
   /// Constructed only when config_.faults.any(); shared so macro copies
-  /// see one active flag. Both mvm paths hoist ONE null/active check per
+  /// see one active flag. Both paths hoist ONE null/active check per
   /// call — the fault-off instruction stream is otherwise unchanged.
   std::shared_ptr<FaultModel> faults_;
-
-  // Analog read chain constants, derived by CimArrayModel (next to the
-  // canonical read_count they mirror) and cached here for the inlined
-  // packed read path; sqrt of the integer ON-cell count is
-  // pre-tabulated (<= 128 rows).
-  CimArrayModel::ReadChainConsts read_;
-  std::array<double, 129> sqrt_count_{};
-  bool noise_free_ = false;
-  // Noise-free transfer tables indexed by exact count (<= 128 rows):
-  // code * counts_per_code and the matching precharge energy.
-  std::array<double, 129> ideal_estimate_{};
-  std::array<double, 129> ideal_precharge_pj_{};
 };
 
 }  // namespace yoloc

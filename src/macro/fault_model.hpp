@@ -4,9 +4,9 @@
 // error-correction and PCM variation-handling lines of work treat fault
 // tolerance as a first-class system layer — see PAPERS.md).
 //
-// Three fault classes, all derived by counter-based hashing (SplitMix64)
-// from (seed, macro kind, fault stream, coordinates) — no mutable draw
-// state, so the model is shared read-only by every worker thread and the
+// Three fault classes, all derived by counter-based hashing
+// (common/hash.hpp) from (seed, macro kind, fault stream, coordinates) —
+// no mutable draw state, so the model is shared read-only by every worker thread and the
 // SAME pattern afflicts every call, every replay:
 //   * stuck-at-0 / stuck-at-1 — a bit-plane cell reads as a constant
 //     regardless of the stored weight bit. Keyed (j, b, i).
@@ -15,12 +15,13 @@
 //     per-(column, cycle) pattern, deterministic across replays.
 //   * ADC drift — a column's converter transfer gains a per-(j, b)
 //     offset/gain error, applied to the count estimate after the
-//     canonical read chain (circuit/cim_array.hpp AdcDrift).
+//     read chain (circuit/cim_array.hpp AdcDrift).
 //
 // Coordinates are LOCAL tile coordinates: the engine time-multiplexes
-// reduction tiles onto one physical subarray, and the legacy mvm() path
-// only ever sees per-tile chunks — keying on local (j, b, i) keeps the
-// legacy and packed paths bit-identical under faults (parity-tested in
+// reduction tiles onto one physical subarray, so a per-tile MVM sees the
+// same (j, b, i) pattern on every tile — which also lets the scalar
+// reference (tests/reference_macro.hpp), working on per-tile chunks,
+// stay bit-identical to the packed kernel under faults (parity-tested in
 // tests/test_fault.cpp). Stuck/flip bits at rows >= the tile's k are
 // harmless: every count ANDs with activation bits that are zero there.
 //

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "common/rng.hpp"
 #include "common/table.hpp"
 #include "macro/cim_macro.hpp"
 
@@ -31,7 +32,8 @@ struct MacroSpecSummary {
   double density_ratio = 0.0;
 };
 
-/// Summarize `macro`, measuring energy with `samples` random dot products.
+/// Summarize `macro`, measuring energy with `samples` random dot products
+/// (`rng` draws the operands and each MVM's noise key).
 /// `reference_density_mb_per_mm2` sets the "(Nx)" density comparison (the
 /// paper compares against its 6T SRAM-CiM counterpart at ~0.195 Mb/mm^2).
 MacroSpecSummary summarize_macro(const CimMacro& macro, Rng& rng,

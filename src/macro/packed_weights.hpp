@@ -4,11 +4,10 @@
 //
 // The premise of ROM-based CiM is that weights are immutable after
 // tape-out: the bit-sliced column pattern a weight matrix occupies in the
-// subarray is fixed for the lifetime of the chip. The legacy
-// CimMacro::mvm nevertheless re-derived every output row's weight
-// bit-plane masks for every im2col column of every request —
-// O(m * k * weight_bits) redundant work per column that dwarfs the
-// popcount + ADC math it feeds.
+// subarray is fixed for the lifetime of the chip. Re-deriving every
+// output row's weight bit-plane masks for every im2col column of every
+// request would be O(m * k * weight_bits) redundant work per column,
+// dwarfing the popcount + ADC math it feeds.
 //
 // PackedRomWeights performs that expansion exactly once per (weight
 // buffer, macro geometry): per subarray row-tile it stores each output
@@ -39,35 +38,30 @@
 namespace yoloc {
 
 /// 128 rows fit two 64-bit lanes; mask type for subarray row bitsets.
-/// (Shared by the legacy per-call path in cim_macro.cpp and the packed
-/// representation below.)
 struct RowMask {
   std::uint64_t lane[2] = {0, 0};
 
   void set(int i) { lane[i >> 6] |= (1ull << (i & 63)); }
 
-  /// Popcount of (this & other) over bit range [lo, hi) — the legacy
-  /// branchy range-clamped count.
-  [[nodiscard]] int count_and(const RowMask& other, int lo, int hi) const {
-    int total = 0;
-    for (int l = 0; l < 2; ++l) {
-      const int base = l * 64;
-      const int a = lo - base > 0 ? lo - base : 0;
-      const int b = hi - base < 64 ? hi - base : 64;
-      if (a >= b) continue;
-      std::uint64_t m = lane[l] & other.lane[l];
-      if (a > 0) m &= ~0ull << a;
-      if (b < 64) m &= (b == 64) ? ~0ull : ((1ull << b) - 1);
-      total += std::popcount(m);
-    }
-    return total;
-  }
-
   /// Popcount of (this & x & group) — the packed fast path: two unmasked
   /// AND + popcounts per lane, no range clamping.
   [[nodiscard]] int count_and3(const RowMask& x, const RowMask& group) const {
-    return std::popcount(lane[0] & x.lane[0] & group.lane[0]) +
-           std::popcount(lane[1] & x.lane[1] & group.lane[1]);
+    return popcount64(lane[0] & x.lane[0] & group.lane[0]) +
+           popcount64(lane[1] & x.lane[1] & group.lane[1]);
+  }
+
+  /// std::popcount compiles to a libgcc call unless the target ISA has
+  /// POPCNT (the portable default build does not); this SWAR count stays
+  /// inline in the per-read hot loop.
+  static int popcount64(std::uint64_t v) {
+#if defined(__POPCNT__)
+    return std::popcount(v);
+#else
+    v -= (v >> 1) & 0x5555555555555555ull;
+    v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+    v = (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+    return static_cast<int>((v * 0x0101010101010101ull) >> 56);
+#endif
   }
 
   [[nodiscard]] int count() const {
@@ -138,8 +132,8 @@ class PackedRomWeights {
   /// Digital shift-add weights: entry [b * input_bits + t] is
   /// bit_weight(b) * 2^t, with the MSB carrying its two's-complement
   /// negative factor. Both factors are exact powers of two, so folding
-  /// them into one table keeps the packed accumulation bit-identical to
-  /// the legacy (est * bit_weight) * 2^t order.
+  /// them into one table keeps the accumulation bit-identical to the
+  /// (est * bit_weight) * 2^t order.
   [[nodiscard]] const double* bit_cycle_weight() const {
     return bit_cycle_weight_.data();
   }

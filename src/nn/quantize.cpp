@@ -44,7 +44,7 @@ ResolvedEngine resolve_engine(const MvmEngine* direct, EngineKind kind,
     // Direct bindings execute with an otherwise-empty session: only
     // sessionless engines (ExactMvmEngine) support that. Session-
     // requiring engines (MacroMvmEngine) must be driven through an
-    // ExecutionContext / MvmBinding, which supplies rng + stats.
+    // ExecutionContext / MvmBinding, which supplies noise keys + stats.
     YOLOC_CHECK(direct != nullptr,
                 std::string(what) +
                     ": no engine bound — run inside an ExecutionContext "
@@ -209,6 +209,7 @@ Tensor QuantConv2d::forward(const Tensor& input, bool /*train*/) {
 
   YOLOC_CHECK(is_calibrated(), "quant conv: deploy before calibration");
   ResolvedEngine re = resolve_engine(engine_, kind_, "quant conv");
+  re.session.layer = noise_ordinal_;
   MvmScratch* scratch = re.session.scratch;
   LayerTraceSink* trace = re.session.trace;
   std::uint64_t t0 = trace != nullptr ? trace_now_ns() : 0;
@@ -334,6 +335,7 @@ Tensor QuantLinear::forward(const Tensor& input, bool /*train*/) {
 
   YOLOC_CHECK(act_scale_ > 0.0f, "quant linear: deploy before calibration");
   ResolvedEngine re = resolve_engine(engine_, kind_, "quant linear");
+  re.session.layer = noise_ordinal_;
   MvmScratch* scratch = re.session.scratch;
   LayerTraceSink* trace = re.session.trace;
   const std::uint64_t t0 = trace != nullptr ? trace_now_ns() : 0;

@@ -16,7 +16,7 @@
 //                               models the analog bitline + ADC.
 //
 // Execution model: engines are immutable and reentrant. All mutable
-// per-request state (the analog-noise RNG stream, run statistics, scratch
+// per-request state (the analog-noise keys, run statistics, scratch
 // buffers) travels in an MvmSession supplied by the caller. A quantized
 // layer finds its engine either through the layer's direct binding
 // (legacy single-engine deployments via quantize_network) or through the
@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "tensor/quant.hpp"
@@ -52,8 +51,7 @@ struct MvmScratch {
   Tensor cols;                       // im2col output
   std::vector<std::uint8_t> qx;      // quantized activations
   std::vector<std::int32_t> acc;     // int32 MVM accumulator
-  std::vector<std::int8_t> w_chunk;  // macro row-tile of the weight matrix
-  std::vector<std::uint8_t> x_chunk;
+  std::vector<std::uint8_t> x_chunk;  // macro row-tile of one column
   std::vector<std::int32_t> y_partial;
   Tensor xT;  // transposed linear input
 };
@@ -61,12 +59,17 @@ struct MvmScratch {
 class LayerTraceSink;  // defined below, after EngineKind
 
 /// Mutable per-request state threaded through an engine call. Engines that
-/// model analog noise require `rng` and all engines that meter activity
-/// require `stats`; `scratch` is optional (engines fall back to local
-/// allocations when it is null). `trace` is an optional observer for
-/// per-layer span timing — null (the default) costs the hot loop nothing.
+/// model analog noise require `image_keys` (one noise key per image of
+/// the batch; an MVM's p columns split evenly over the images, in order)
+/// and key their samples by `layer`, the calling layer's noise ordinal;
+/// all engines that meter activity require `stats`; `scratch` is
+/// optional (engines fall back to local allocations when it is null).
+/// `trace` is an optional observer for per-layer span timing — null (the
+/// default) costs the hot loop nothing.
 struct MvmSession {
-  Rng* rng = nullptr;
+  const std::uint64_t* image_keys = nullptr;
+  int image_count = 0;
+  int layer = 0;
   MacroRunStats* stats = nullptr;
   MvmScratch* scratch = nullptr;
   LayerTraceSink* trace = nullptr;
@@ -114,7 +117,7 @@ class MvmEngine {
 };
 
 /// Bit-exact integer reference backend (stateless; ignores the session's
-/// rng/stats).
+/// keys/stats).
 class ExactMvmEngine final : public MvmEngine {
  public:
   using MvmEngine::mvm_batch;  // keep the sessionless convenience visible
@@ -203,6 +206,10 @@ class QuantConv2d final : public Layer {
   [[nodiscard]] int act_bits() const { return act_bits_; }
   [[nodiscard]] int patch_size() const { return patch_; }
   [[nodiscard]] EngineKind engine_kind() const { return kind_; }
+  /// Position among the network's quantized layers, keying this layer's
+  /// analog noise (assigned by the deployment plan; not serialized).
+  [[nodiscard]] int noise_ordinal() const { return noise_ordinal_; }
+  void set_noise_ordinal(int ordinal) { noise_ordinal_ = ordinal; }
 
  private:
   std::string name_;
@@ -217,6 +224,7 @@ class QuantConv2d final : public Layer {
   Tensor bias_;              // (out_ch), float
   const MvmEngine* engine_ = nullptr;  // direct binding (may be null)
   EngineKind kind_ = EngineKind::kDefault;
+  int noise_ordinal_ = 0;
   bool calibrating_ = false;
   float observed_max_ = 0.0f;
   float act_scale_ = -1.0f;
@@ -253,6 +261,9 @@ class QuantLinear final : public Layer {
   [[nodiscard]] int out_features() const { return out_features_; }
   [[nodiscard]] int act_bits() const { return act_bits_; }
   [[nodiscard]] EngineKind engine_kind() const { return kind_; }
+  /// See QuantConv2d::noise_ordinal().
+  [[nodiscard]] int noise_ordinal() const { return noise_ordinal_; }
+  void set_noise_ordinal(int ordinal) { noise_ordinal_ = ordinal; }
 
  private:
   std::string name_;
@@ -263,6 +274,7 @@ class QuantLinear final : public Layer {
   Tensor bias_;
   const MvmEngine* engine_ = nullptr;  // direct binding (may be null)
   EngineKind kind_ = EngineKind::kDefault;
+  int noise_ordinal_ = 0;
   bool calibrating_ = false;
   float observed_max_ = 0.0f;
   float act_scale_ = -1.0f;

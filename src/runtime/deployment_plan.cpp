@@ -40,8 +40,8 @@ DeploymentPlan::DeploymentPlan(LayerPtr trained_model,
     : options_(validated(std::move(options))),
       rom_macro_(options_.rom_macro),
       sram_macro_(options_.sram_macro),
-      rom_engine_(rom_macro_, options_.mode, &rom_packed_),
-      sram_engine_(sram_macro_, options_.mode, &sram_packed_),
+      rom_engine_(rom_macro_, options_.mode, rom_packed_),
+      sram_engine_(sram_macro_, options_.mode, sram_packed_),
       model_(std::move(trained_model)) {
   YOLOC_CHECK(model_ != nullptr, "deployment plan: null model");
   fold_batchnorm(*model_);
@@ -58,8 +58,8 @@ DeploymentPlan::DeploymentPlan(LoweredPlanImage image,
     : options_(validated(std::move(options))),
       rom_macro_(options_.rom_macro),
       sram_macro_(options_.sram_macro),
-      rom_engine_(rom_macro_, options_.mode, &rom_packed_),
-      sram_engine_(sram_macro_, options_.mode, &sram_packed_),
+      rom_engine_(rom_macro_, options_.mode, rom_packed_),
+      sram_engine_(sram_macro_, options_.mode, sram_packed_),
       model_(std::move(image.model)) {
   YOLOC_CHECK(model_ != nullptr, "plan image: null model");
   quantized_layers_ = count_quantized_layers(*model_);
@@ -74,7 +74,14 @@ DeploymentPlan::DeploymentPlan(LoweredPlanImage image,
 }
 
 void DeploymentPlan::prepack_weights() {
-  for_each_quantized_layer(*model_, [this](QuantConv2d* qc, QuantLinear* ql) {
+  // Noise ordinals follow the graph walk, which both constructors (and a
+  // save/load round trip) see identically — so they need no artifact
+  // field.
+  int ordinal = 0;
+  for_each_quantized_layer(*model_, [&](QuantConv2d* qc, QuantLinear* ql) {
+    if (qc != nullptr) qc->set_noise_ordinal(ordinal);
+    if (ql != nullptr) ql->set_noise_ordinal(ordinal);
+    ++ordinal;
     const QuantizedTensor& qw = qc != nullptr ? qc->weights() : ql->weights();
     const EngineKind kind =
         qc != nullptr ? qc->engine_kind() : ql->engine_kind();
@@ -165,12 +172,15 @@ Tensor DeploymentPlan::execute(const Tensor& images,
                                ExecutionContext& ctx) const {
   YOLOC_CHECK(ctx.plan_ == this, "deployment plan: foreign context");
   MvmBinding binding;
-  binding.slot(EngineKind::kRom) = {
-      &rom_engine_, {&ctx.rom_rng_, &ctx.rom_stats_, &ctx.scratch_,
-                     ctx.trace_}};
-  binding.slot(EngineKind::kSram) = {
-      &sram_engine_, {&ctx.sram_rng_, &ctx.sram_stats_, &ctx.scratch_,
-                      ctx.trace_}};
+  MvmSession session;
+  session.image_keys = ctx.image_keys_.data();
+  session.image_count = static_cast<int>(ctx.image_keys_.size());
+  session.scratch = &ctx.scratch_;
+  session.trace = ctx.trace_;
+  session.stats = &ctx.rom_stats_;
+  binding.slot(EngineKind::kRom) = {&rom_engine_, session};
+  session.stats = &ctx.sram_stats_;
+  binding.slot(EngineKind::kSram) = {&sram_engine_, session};
   MvmBinding::Scope scope(binding);
   // Layer::forward is non-const to serve the training substrate; the
   // deployed graph is logically const in eval mode (quantized layers are

@@ -11,8 +11,8 @@
 // models, the two reentrant MvmEngines, and the packed weight bit-planes
 // (one PackedWeightsCache per engine, populated for every quantized
 // layer at construction — the software analogue of committing the ROM
-// mask at tape-out). It owns NO mutable per-request state — noise RNG
-// streams, run statistics and scratch buffers live in ExecutionContext —
+// mask at tape-out). It owns NO mutable per-request state — noise keys,
+// run statistics and scratch buffers live in ExecutionContext —
 // so any number of contexts can execute one plan concurrently (the
 // throughput model of mixed ROM+SRAM chips such as YOCO and multi-core
 // PCM inference parts, scaled to host threads).
@@ -133,8 +133,9 @@ class DeploymentPlan {
  private:
   /// Recursive conv/linear replacement with per-layer engine selection.
   int lower_network(Layer& node);
-  /// Expand every quantized layer's weight buffer into its macro-native
-  /// bit-plane layout (once; shared read-only by all contexts).
+  /// Number every quantized layer's noise ordinal in graph order and
+  /// expand its weight buffer into the macro-native bit-plane layout
+  /// (once; shared read-only by all contexts).
   void prepack_weights();
 
   DeploymentOptions options_;

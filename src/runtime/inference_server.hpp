@@ -10,10 +10,11 @@
 // scheduler for callers that want priorities, deadlines, or the full
 // metrics snapshot.
 //
-// Determinism: with max_microbatch = 1 and single-class traffic,
-// request i is bit-identical to a serial ExecutionContext run seeded
-// noise_seed + i — outputs AND merged stat sums — independent of worker
-// count or scheduling (see the contract note in serve/scheduler.hpp).
+// Determinism: request i's outputs are bit-identical to a serial
+// ExecutionContext run seeded noise_seed + i, independent of worker
+// count, scheduling and batching; with max_microbatch = 1 and
+// single-class traffic the merged stat sums are too (see the contract
+// note in serve/scheduler.hpp).
 
 #include <cstdint>
 #include <future>

@@ -493,9 +493,17 @@ void Scheduler::worker_loop(int worker_index) {
       }
     }
 
-    // Derive this batch's noise stream from its first request so results
-    // do not depend on which worker picked the batch up.
-    ctx.reseed(options_.noise_seed + batch.front().id);
+    // Key every image by its own request (noise_seed + id) and its index
+    // within that request, so a request's logits do not depend on the
+    // worker, nor on which requests were fused with it.
+    std::vector<std::uint64_t> image_keys;
+    for (const ServeRequest& r : batch) {
+      const int n = r.input.rank() >= 1 ? r.input.shape()[0] : 0;
+      for (int i = 0; i < n; ++i) {
+        image_keys.push_back(noise_image_key(
+            options_.noise_seed + r.id, static_cast<std::uint64_t>(i)));
+      }
+    }
     ctx.reset_stats();
 
     BatchTraceSink layer_sink(&trace_, worker_index, batch.front().id,
@@ -547,11 +555,11 @@ void Scheduler::worker_loop(int worker_index) {
     try {
       if (batch.size() == 1) {
         total_images = batch[0].input.shape()[0];
-        output = ctx.infer(batch[0].input);
+        output = ctx.infer(batch[0].input, image_keys);
       } else {
         Tensor stacked = stack_inputs(batch);
         total_images = stacked.shape()[0];
-        output = ctx.infer(stacked);
+        output = ctx.infer(stacked, image_keys);
       }
     } catch (...) {
       error = std::current_exception();

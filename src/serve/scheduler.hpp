@@ -25,17 +25,17 @@
 // later than the end of the shortest in-flight batch (or the next
 // submission, whichever comes first).
 //
-// Determinism contract (inherited from the FIFO InferenceServer it
-// replaces): each batch executes on a context reseeded with
-// noise_seed + id of its FIRST request (ids are admission-ordered), and
-// per-batch stats merge in batch-formation order. With max_microbatch=1
-// and a single priority class, formation order equals admission order,
-// so request i is bit-identical — outputs AND merged stat sums — to a
-// serial ExecutionContext run seeded noise_seed + i, independent of
-// worker count. With mixed classes or max_microbatch > 1, batch
-// COMPOSITION (and with it the noise-stream alignment and double
-// summation order) depends on scheduling; exact-cost outputs stay
-// bit-exact per request regardless.
+// Determinism contract: image i of the request with admission id `id`
+// executes with noise key noise_image_key(noise_seed + id, i), and every
+// analog noise sample is a pure function of that key and the sample's
+// position in the network (runtime/execution_context.hpp). So a
+// request's logits are bit-identical to a serial ExecutionContext run
+// seeded noise_seed + id — at any max_microbatch, any worker count and
+// whatever traffic is fused with it. Per-batch stats merge in
+// batch-formation order; integer counters are exact, while the double
+// energy/latency sums depend on the summation order, which follows
+// batch composition unless max_microbatch = 1 with a single priority
+// class (formation order then equals admission order).
 //
 // Telemetry: every worker records into its own MetricsRegistry slot —
 // queue-wait and end-to-end latency histograms (p50/p95/p99), per-class
@@ -68,11 +68,12 @@ struct CanaryProbe;  // runtime/deployment_plan.hpp
 struct SchedulerOptions {
   /// Worker threads. 0 = parallel_workers() (which honours YOLOC_THREADS).
   int workers = 0;
-  /// Max requests fused into one forward pass. 1 = deterministic mode.
+  /// Max requests fused into one forward pass. Outputs do not depend on
+  /// it; 1 also fixes the stats summation order (determinism contract).
   /// Per scheduling decision each lane derives an EFFECTIVE cap from its
   /// SLO budget (see lane_slo); this is the global ceiling.
   int max_microbatch = 8;
-  /// Base noise seed; batches derive their stream from it.
+  /// Base noise seed; request `id` is seeded noise_seed + id.
   std::uint64_t noise_seed = 2024;
   /// Admission cap per priority lane. 0 = unlimited.
   std::uint64_t max_queue_depth = 0;

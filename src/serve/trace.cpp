@@ -6,22 +6,9 @@
 #include <stdexcept>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace yoloc {
-
-namespace {
-
-/// SplitMix64 finalizer: a high-quality 64-bit mix with no state, so the
-/// sampling decision for an id is a pure function (deterministic across
-/// runs, replicas and replays).
-std::uint64_t mix64(std::uint64_t z) {
-  z += 0x9E3779B97F4A7C15ull;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 TraceCollector::TraceCollector(int workers, double sampling,
                                std::size_t capacity_per_worker)
@@ -42,10 +29,9 @@ TraceCollector::TraceCollector(int workers, double sampling,
 bool TraceCollector::sampled(std::uint64_t request_id) const {
   if (sampling_ <= 0.0) return false;
   if (sampling_ >= 1.0) return true;
-  // Top 53 bits of the mix as a uniform double in [0, 1).
-  const double u =
-      static_cast<double>(mix64(request_id) >> 11) * 0x1.0p-53;
-  return u < sampling_;
+  // A pure function of the id: the same decision across runs, replicas
+  // and replays.
+  return hash_to_unit(splitmix64(request_id)) < sampling_;
 }
 
 void TraceCollector::emit(int worker, const TraceEvent& event) {

@@ -8,6 +8,7 @@
 #include "circuit/adc.hpp"
 #include "circuit/bitline.hpp"
 #include "circuit/cim_array.hpp"
+#include "common/rng.hpp"
 
 namespace yoloc {
 namespace {
@@ -115,10 +116,9 @@ CimArrayModel make_array(int group, double sigma = 0.0) {
 TEST(CimArray, ExactReadWhenGroupMatchesAdcRange) {
   // Group of 31 = ADC levels-1: every count maps to its own code.
   const CimArrayModel arr = make_array(31);
-  Rng rng(1);
   ArrayReadStats stats;
   for (int count = 0; count <= 31; ++count) {
-    const double est = arr.read_count(count, 31, rng, stats);
+    const double est = arr.read(count, 0.0, 0.0, stats);
     EXPECT_NEAR(est, count, 0.51) << "count " << count;
   }
   EXPECT_EQ(stats.adc_conversions, 32u);
@@ -127,13 +127,12 @@ TEST(CimArray, ExactReadWhenGroupMatchesAdcRange) {
 TEST(CimArray, QuantizationErrorGrowsWithGroupSize) {
   const CimArrayModel small = make_array(32);
   const CimArrayModel large = make_array(124);
-  Rng rng(2);
   ArrayReadStats stats;
   double err_small = 0.0;
   double err_large = 0.0;
   for (int count = 0; count <= 30; ++count) {
-    err_small += std::fabs(small.read_count(count, 32, rng, stats) - count);
-    err_large += std::fabs(large.read_count(count, 124, rng, stats) - count);
+    err_small += std::fabs(small.read(count, 0.0, 0.0, stats) - count);
+    err_large += std::fabs(large.read(count, 0.0, 0.0, stats) - count);
   }
   EXPECT_LT(err_small, err_large);
 }
@@ -145,25 +144,31 @@ TEST(CimArray, NoiseBroadensEstimates) {
   double var = 0.0;
   const int trials = 200;
   for (int i = 0; i < trials; ++i) {
-    const double est = noisy.read_count(16, 32, rng, stats);
+    const double est = noisy.read(16, rng.normal(), rng.normal(), stats);
     var += (est - 16.0) * (est - 16.0);
   }
   // With 30% cell mismatch over 16 cells some spread must appear.
   EXPECT_GT(var / trials, 0.05);
 }
 
-TEST(CimArray, RejectsCountAboveActiveRows) {
+TEST(CimArray, ZeroSigmaIgnoresNormals) {
+  // Both sigmas zero: the chain must not depend on the samples it is
+  // handed, which is what lets callers skip drawing them.
   const CimArrayModel arr = make_array(32);
-  Rng rng(4);
-  ArrayReadStats stats;
-  EXPECT_THROW((void)arr.read_count(33, 32, rng, stats), std::runtime_error);
+  ASSERT_FALSE(arr.cell_noise());
+  ASSERT_FALSE(arr.adc_noise());
+  ArrayReadStats a;
+  ArrayReadStats b;
+  for (int count = 0; count <= 32; ++count) {
+    EXPECT_EQ(arr.read(count, 0.0, 0.0, a), arr.read(count, 5.0, -5.0, b));
+  }
+  EXPECT_EQ(a.precharge_energy_pj, b.precharge_energy_pj);
 }
 
 TEST(CimArray, EnergyAccounting) {
   const CimArrayModel arr = make_array(32);
-  Rng rng(5);
   ArrayReadStats stats;
-  (void)arr.read_count(8, 32, rng, stats);
+  (void)arr.read(8, 0.0, 0.0, stats);
   EXPECT_EQ(stats.adc_conversions, 1u);
   EXPECT_NEAR(stats.adc_energy_pj, 0.07, 1e-12);
   EXPECT_GT(stats.precharge_energy_pj, 0.0);
@@ -207,7 +212,7 @@ TEST_P(AdcBitsProperty, ReadErrorBoundedByHalfStepPlusSaturation) {
   EXPECT_DOUBLE_EQ(step, std::ceil(32.0 / levels));
   const double range = (levels - 1) * step;
   for (int count = 0; count <= 32; ++count) {
-    const double est = arr.read_count_ideal(count, stats);
+    const double est = arr.read(count, 0.0, 0.0, stats);
     const double allowed =
         step / 2 + std::max(0.0, count - range) + 1e-9;
     EXPECT_LE(std::fabs(est - count), allowed)

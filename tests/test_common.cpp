@@ -15,6 +15,7 @@
 #include "common/binio.hpp"
 #include "common/check.hpp"
 #include "common/crc32.hpp"
+#include "common/hash.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -92,6 +93,16 @@ TEST(BinIo, ReaderRefusesToRunPastTheBuffer) {
   ByteReader partial(w.buffer().data(), 2);
   EXPECT_THROW((void)partial.u32(), std::runtime_error);
   EXPECT_THROW(partial.expect_exhausted("partial"), std::runtime_error);
+}
+
+TEST(Hash, SplitMix64MatchesTheReferenceStream) {
+  // Vigna's SplitMix64 seeded 0: the constants every keyed decision
+  // (faults, trace sampling, analog noise) depends on.
+  EXPECT_EQ(splitmix64(0), 0xE220A8397B1DCDAFull);
+  EXPECT_EQ(splitmix64(kSplitMixGamma), 0x6E789E6AA1B965F4ull);
+  EXPECT_EQ(splitmix64(2 * kSplitMixGamma), 0x06C45D188009454Full);
+  EXPECT_EQ(hash_combine(5, 3), splitmix64(5 ^ 3));
+  EXPECT_EQ(hash_to_unit(~0ull), 1.0 - 0x1.0p-53);
 }
 
 TEST(Rng, DeterministicForSameSeed) {

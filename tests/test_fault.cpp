@@ -1,7 +1,7 @@
 // Deterministic fault-injection coverage (macro/fault_model.*) and the
 // serving resilience layer built on it (serve/resilience.*): fixed-seed
-// fault patterns replay bit-exactly, the legacy and packed MVM paths
-// stay bit-identical under faults, dormant faults cost nothing and
+// fault patterns replay bit-exactly, the packed MVM kernel stays
+// bit-identical to the scalar reference under faults, dormant faults cost nothing and
 // change nothing, plans round-trip fault configs + canary suites
 // (format v2), and the scheduler's canary -> breaker -> shed -> recover
 // pipeline works end to end. `ctest -L fault` selects this suite.
@@ -26,6 +26,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
+#include "reference_macro.hpp"
 #include "runtime/deployment_plan.hpp"
 #include "runtime/execution_context.hpp"
 #include "runtime/plan_serde.hpp"
@@ -77,22 +78,25 @@ std::vector<std::uint8_t> random_acts(int k, int p, std::uint64_t seed) {
   return x;
 }
 
-/// One engine run (legacy or packed) over a fixed workload.
-std::vector<std::int32_t> run_engine(const MacroConfig& cfg,
-                                     MacroMvmEngine::Mode mode, bool packed,
+/// One analog run over a fixed workload (image key = seed), through the
+/// packed engine or the scalar reference.
+std::vector<std::int32_t> run_engine(const MacroConfig& cfg, bool packed,
                                      int m, int k, int p, std::uint64_t seed,
                                      MacroRunStats* stats_out = nullptr) {
   const CimMacro macro(cfg);
   PackedWeightsCache cache;
-  const MacroMvmEngine engine(macro, mode, packed ? &cache : nullptr);
+  const MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog, cache);
   const auto w = random_weights(m, k, seed);
   const auto x = random_acts(k, p, seed);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
-  Rng rng(seed);
   MacroRunStats stats;
-  MvmScratch scratch;
-  MvmSession session{&rng, &stats, &scratch};
-  engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);
+  if (packed) {
+    MvmSession session = reference::analog_session(&seed, 1, stats);
+    engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);
+  } else {
+    reference::mvm_batch(engine, w.data(), m, k, x.data(), p, y.data(),
+                         &seed, 1, /*layer=*/0, stats);
+  }
   if (stats_out != nullptr) *stats_out = stats;
   return y;
 }
@@ -101,32 +105,26 @@ std::vector<std::int32_t> run_engine(const MacroConfig& cfg,
 
 TEST(FaultModel, FixedSeedReplaysBitExactly) {
   const MacroConfig cfg = faulted_rom(heavy_faults());
-  const auto a = run_engine(cfg, MacroMvmEngine::Mode::kAnalog, false, 6, 96,
-                            3, 5);
-  const auto b = run_engine(cfg, MacroMvmEngine::Mode::kAnalog, false, 6, 96,
-                            3, 5);
+  const auto a = run_engine(cfg, true, 6, 96, 3, 5);
+  const auto b = run_engine(cfg, true, 6, 96, 3, 5);
   EXPECT_EQ(a, b) << "same seed, same fault pattern, same outputs";
 }
 
 TEST(FaultModel, SeedRedrawsThePattern) {
-  const auto a = run_engine(faulted_rom(heavy_faults(11)),
-                            MacroMvmEngine::Mode::kAnalog, false, 6, 96, 3, 5);
-  const auto b = run_engine(faulted_rom(heavy_faults(12)),
-                            MacroMvmEngine::Mode::kAnalog, false, 6, 96, 3, 5);
+  const auto a = run_engine(faulted_rom(heavy_faults(11)), true, 6, 96, 3, 5);
+  const auto b = run_engine(faulted_rom(heavy_faults(12)), true, 6, 96, 3, 5);
   EXPECT_NE(a, b) << "a different fault seed must redraw the fault map";
 }
 
-TEST(FaultModel, LegacyAndPackedPathsIdenticalUnderFaults) {
-  // The determinism contract extends to faults: the packed fast path
-  // must see the SAME stuck cells, drifted columns and transient flips
-  // as the per-call path (fault coordinates are tile-local).
+TEST(FaultModel, ReferenceAndPackedPathsIdenticalUnderFaults) {
+  // The determinism contract extends to faults: the packed kernel must
+  // see the SAME stuck cells, drifted columns and transient flips as the
+  // scalar reference (fault coordinates are tile-local).
   const MacroConfig cfg = faulted_rom(heavy_faults());
   for (const int k : {96, 200}) {  // single-tile and multi-tile
     MacroRunStats stats_legacy, stats_packed;
-    const auto legacy = run_engine(cfg, MacroMvmEngine::Mode::kAnalog, false,
-                                   6, k, 3, 5, &stats_legacy);
-    const auto packed = run_engine(cfg, MacroMvmEngine::Mode::kAnalog, true,
-                                   6, k, 3, 5, &stats_packed);
+    const auto legacy = run_engine(cfg, false, 6, k, 3, 5, &stats_legacy);
+    const auto packed = run_engine(cfg, true, 6, k, 3, 5, &stats_packed);
     EXPECT_EQ(legacy, packed) << "k=" << k;
     EXPECT_EQ(stats_legacy.array.adc_conversions,
               stats_packed.array.adc_conversions);
@@ -138,12 +136,9 @@ TEST(FaultModel, LegacyAndPackedPathsIdenticalUnderFaults) {
 TEST(FaultModel, DormantFaultsAreInvisible) {
   FaultModelConfig dormant = heavy_faults();
   dormant.start_active = false;
-  const auto clean = run_engine(faulted_rom(FaultModelConfig{}),
-                                MacroMvmEngine::Mode::kAnalog, false, 6, 96,
-                                3, 5);
-  const auto faulted_off = run_engine(faulted_rom(dormant),
-                                      MacroMvmEngine::Mode::kAnalog, false, 6,
-                                      96, 3, 5);
+  const auto clean =
+      run_engine(faulted_rom(FaultModelConfig{}), true, 6, 96, 3, 5);
+  const auto faulted_off = run_engine(faulted_rom(dormant), true, 6, 96, 3, 5);
   EXPECT_EQ(clean, faulted_off)
       << "inactive faults must be bit-invisible, not just small";
 }
@@ -152,15 +147,14 @@ TEST(FaultModel, SetActiveTogglesAtRuntime) {
   const CimMacro macro(faulted_rom(heavy_faults()));
   ASSERT_NE(macro.fault_model(), nullptr);
   PackedWeightsCache cache;
-  const MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog, &cache);
+  const MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog, cache);
   const auto w = random_weights(6, 96, 5);
   const auto x = random_acts(96, 2, 5);
   const auto run = [&] {
     std::vector<std::int32_t> y(12);
-    Rng rng(5);
+    const std::uint64_t key = 5;
     MacroRunStats stats;
-    MvmScratch scratch;
-    MvmSession session{&rng, &stats, &scratch};
+    MvmSession session = reference::analog_session(&key, 1, stats);
     engine.mvm_batch(w.data(), 6, 96, x.data(), 2, y.data(), session);
     return y;
   };

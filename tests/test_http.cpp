@@ -3,10 +3,10 @@
 // (queue-full 429, dead/infeasible deadline 503 + Retry-After),
 // connection hygiene negatives (malformed request lines, bad versions,
 // oversized headers/bodies, slow-loris read timeouts), graceful drain
-// (in-flight requests finish, new connections are refused), and the
-// determinism contract carried across the wire: an /infer response is
+// (in-flight requests finish, new connections are refused), the
+// determinism contract carried across the wire (an /infer response is
 // bit-identical to a direct ExecutionContext run with the same
-// admission-id-derived seed.
+// admission-id-derived seed), and an open-loop yoloc_loadgen run.
 
 #include <gtest/gtest.h>
 
@@ -14,11 +14,13 @@
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -258,7 +260,7 @@ TEST(HttpInfer, BitIdenticalToDirectExecutionAcrossBothEncodings) {
   constexpr int kRequests = 6;
 
   // Serial reference: request i (admission id i) must execute with the
-  // noise stream seeded kSeed + i — the scheduler determinism contract,
+  // noise seeded kSeed + i — the scheduler determinism contract,
   // now carried through HTTP parse -> base64 -> submit -> base64.
   std::vector<Tensor> inputs, reference;
   for (int i = 0; i < kRequests; ++i) {
@@ -269,7 +271,7 @@ TEST(HttpInfer, BitIdenticalToDirectExecutionAcrossBothEncodings) {
 
   SchedulerOptions sched;
   sched.workers = 2;
-  sched.max_microbatch = 1;  // deterministic mode
+  sched.max_microbatch = 1;
   sched.noise_seed = kSeed;
   Scheduler scheduler(*plan, sched);
   HttpServer server(scheduler, *plan);
@@ -670,6 +672,36 @@ TEST(HttpResilience, HungWorkerMapsTo503AndDrainStaysPrompt) {
   ASSERT_TRUE(hook_exited.load()) << "hung worker never left the fault hook";
   std::this_thread::sleep_for(milliseconds(5));
   scheduler.shutdown();
+}
+
+// ------------------------------------------------------ load generator
+
+TEST(HttpLoadgen, OpenLoopRunAgainstInProcessServer) {
+  // The open loop's sender threads read the arrival schedule until they
+  // are joined; under the sanitizer builds this run checks that the
+  // schedule outlives them.
+  auto plan = make_plan(MacroMvmEngine::Mode::kExactCost);
+  SchedulerOptions sched;
+  sched.workers = 2;
+  Scheduler scheduler(*plan, sched);
+  HttpServer server(scheduler, *plan);
+  ASSERT_GT(server.port(), 0);
+  const std::string cmd =
+      std::string(YOLOC_LOADGEN_BIN) + " --port " +
+      std::to_string(server.port()) +
+      " --mode open --rate 200 --duration-s 1 --concurrency 4"
+      " --shape 1,3,8,8 --warmup 2 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[512];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+  const int status = ::pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << out;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << out;
+  EXPECT_NE(out.find("\"mode\":\"open\""), std::string::npos) << out;
+  EXPECT_NE(out.find("\"err_transport\":0,"), std::string::npos) << out;
+  EXPECT_NE(out.find("\"err_other\":0,"), std::string::npos) << out;
 }
 
 }  // namespace

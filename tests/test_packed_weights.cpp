@@ -1,9 +1,10 @@
-// Packed-weights fast path coverage: the deploy-time bit-plane packing
+// Packed-weights coverage: the deploy-time bit-plane packing
 // (macro/packed_weights.*) and the packed CimMacro/MacroMvmEngine MVM
-// must be BIT-IDENTICAL to the legacy per-call path — same outputs, same
-// energy/latency stats, same RNG draw order — across analog (noisy and
-// noise-free), exact-cost, odd reduction sizes and multi-tile shapes.
-// `ctest -L macro` selects this suite.
+// must be BIT-IDENTICAL to the scalar reference (reference_macro.hpp) —
+// same outputs, same energy/latency stats, same keyed noise — across
+// analog (noisy and noise-free), exact-cost, odd reduction sizes,
+// multi-tile shapes and multi-image batches. `ctest -L macro` selects
+// this suite.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <vector>
 
 #include "core/macro_engine.hpp"
+#include "reference_macro.hpp"
 
 namespace yoloc {
 namespace {
@@ -51,36 +53,36 @@ void expect_stats_identical(const MacroRunStats& a, const MacroRunStats& b) {
   EXPECT_EQ(a.latency_ns, b.latency_ns);
 }
 
-/// Drives both engine paths with identically seeded sessions and checks
-/// outputs + stats match exactly.
+/// Drives the engine and the scalar reference with the same image keys
+/// (`images` images split the p columns) and checks outputs + stats
+/// match exactly.
 void expect_paths_identical(const MacroConfig& cfg,
                             MacroMvmEngine::Mode mode, int m, int k, int p,
-                            std::uint64_t seed) {
+                            std::uint64_t seed, int images = 1) {
   const CimMacro macro(cfg);
   PackedWeightsCache cache;
-  const MacroMvmEngine legacy(macro, mode);
-  const MacroMvmEngine packed(macro, mode, &cache);
+  const MacroMvmEngine engine(macro, mode, cache);
   const auto w = random_weights(m, k, seed);
   const auto x = random_acts(k, p, seed);
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < images; ++i) keys.push_back(seed * 31 + i);
 
-  std::vector<std::int32_t> y_legacy(static_cast<std::size_t>(m) * p);
+  std::vector<std::int32_t> y_ref(static_cast<std::size_t>(m) * p);
   std::vector<std::int32_t> y_packed(static_cast<std::size_t>(m) * p);
-  Rng rng_legacy(seed);
-  Rng rng_packed(seed);
-  MacroRunStats stats_legacy, stats_packed;
-  MvmScratch scratch_legacy, scratch_packed;
-  MvmSession legacy_session{&rng_legacy, &stats_legacy, &scratch_legacy};
-  MvmSession packed_session{&rng_packed, &stats_packed, &scratch_packed};
+  MacroRunStats stats_ref, stats_packed;
+  MvmScratch scratch;
+  MvmSession session =
+      reference::analog_session(keys.data(), images, stats_packed, 3);
+  session.scratch = &scratch;
 
-  // Two back-to-back calls so the second starts from mid-stream RNG
-  // state and non-zero stats (the accumulation-order contract).
+  // Two back-to-back calls so the second starts from non-zero stats (the
+  // accumulation-order contract) and reuses the scratch.
   for (int call = 0; call < 2; ++call) {
-    legacy.mvm_batch(w.data(), m, k, x.data(), p, y_legacy.data(),
-                     legacy_session);
-    packed.mvm_batch(w.data(), m, k, x.data(), p, y_packed.data(),
-                     packed_session);
-    EXPECT_EQ(y_legacy, y_packed) << "call " << call;
-    expect_stats_identical(stats_legacy, stats_packed);
+    reference::mvm_batch(engine, w.data(), m, k, x.data(), p, y_ref.data(),
+                         keys.data(), images, /*layer=*/3, stats_ref);
+    engine.mvm_batch(w.data(), m, k, x.data(), p, y_packed.data(), session);
+    EXPECT_EQ(y_ref, y_packed) << "call " << call;
+    expect_stats_identical(stats_ref, stats_packed);
   }
 }
 
@@ -181,11 +183,9 @@ TEST(PackedRomWeights, BoundariesOnlyPackingForExactCost) {
   const CimMacro macro(default_rom_macro());
   std::vector<std::uint8_t> x(128, 1);
   std::vector<std::int32_t> y(static_cast<std::size_t>(m));
-  Rng rng(1);
   MacroRunStats stats;
-  EXPECT_THROW(
-      macro.mvm_packed(bounds, 0, x.data(), y.data(), rng, stats),
-      std::runtime_error);
+  EXPECT_THROW(macro.mvm_packed(bounds, 0, x.data(), y.data(), 1, stats),
+               std::runtime_error);
 }
 
 TEST(PackedWeightsCache, ReturnsSameInstanceAndChecksGeometry) {
@@ -232,13 +232,54 @@ TEST(PackedMvm, AnalogBitIdenticalMultiTile) {
 }
 
 TEST(PackedMvm, AnalogBitIdenticalNoiseFree) {
-  // sigma_cell = 0 and ADC noise = 0: the packed path switches to the
-  // draw-free table transfer; outputs and stats must still match the
-  // legacy path exactly.
+  // sigma_cell = 0 and ADC noise = 0: the kernel skips every draw;
+  // outputs and stats must still match the reference exactly.
   expect_paths_identical(noise_free_rom(), MacroMvmEngine::Mode::kAnalog,
                          /*m=*/24, /*k=*/128, /*p=*/5, /*seed=*/105);
   expect_paths_identical(noise_free_rom(), MacroMvmEngine::Mode::kAnalog,
                          /*m=*/8, /*k=*/100, /*p=*/2, /*seed=*/106);
+}
+
+TEST(PackedMvm, AnalogBitIdenticalAcrossImages) {
+  // p = 12 columns over 3 images: each image's columns carry its own key.
+  expect_paths_identical(default_rom_macro(), MacroMvmEngine::Mode::kAnalog,
+                         /*m=*/8, /*k=*/200, /*p=*/12, /*seed=*/111,
+                         /*images=*/3);
+}
+
+TEST(PackedMvm, ImageOutputsIgnoreTheRestOfTheBatch) {
+  // Image 1 of a 3-image batch gets the same columns as the same image
+  // run alone under the same key — batch invariance at the engine.
+  const CimMacro macro(default_sram_macro());
+  PackedWeightsCache cache;
+  const MacroMvmEngine engine(macro, MacroMvmEngine::Mode::kAnalog, cache);
+  const int m = 8, k = 150, cols = 4, images = 3, p = cols * images;
+  const auto w = random_weights(m, k, 112);
+  const auto x = random_acts(k, p, 112);
+  const std::uint64_t keys[] = {5, 6, 7};
+  std::vector<std::int32_t> y(static_cast<std::size_t>(m) * p);
+  MacroRunStats stats;
+  MvmSession session = reference::analog_session(keys, images, stats);
+  engine.mvm_batch(w.data(), m, k, x.data(), p, y.data(), session);
+
+  std::vector<std::uint8_t> x1(static_cast<std::size_t>(k) * cols);
+  for (int i = 0; i < k; ++i) {
+    for (int c = 0; c < cols; ++c) {
+      x1[static_cast<std::size_t>(i) * cols + c] =
+          x[static_cast<std::size_t>(i) * p + cols + c];
+    }
+  }
+  std::vector<std::int32_t> y1(static_cast<std::size_t>(m) * cols);
+  MacroRunStats stats1;
+  MvmSession alone = reference::analog_session(&keys[1], 1, stats1);
+  engine.mvm_batch(w.data(), m, k, x1.data(), cols, y1.data(), alone);
+  for (int j = 0; j < m; ++j) {
+    for (int c = 0; c < cols; ++c) {
+      EXPECT_EQ(y1[static_cast<std::size_t>(j) * cols + c],
+                y[static_cast<std::size_t>(j) * p + cols + c])
+          << "j=" << j << " c=" << c;
+    }
+  }
 }
 
 TEST(PackedMvm, AnalogBitIdenticalNarrowOperands) {
@@ -260,8 +301,8 @@ TEST(PackedMvm, ExactCostBitIdentical) {
 
 TEST(PackedMvm, ExactCostBitIdenticalNarrowWeightBits) {
   // weight_bits = 4 with full-range int8 weights: the exact path must
-  // still reconstruct the full int8 product (all 8 planes are packed),
-  // exactly like the legacy integer MAC.
+  // still reconstruct the full int8 product, exactly like the reference
+  // integer MAC.
   MacroConfig cfg = default_rom_macro();
   cfg.geometry.weight_bits = 4;
   expect_paths_identical(cfg, MacroMvmEngine::Mode::kExactCost,

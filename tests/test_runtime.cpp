@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "nn/conv2d.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
+#include "reference_macro.hpp"
 #include "runtime/deployment_plan.hpp"
 #include "runtime/execution_context.hpp"
 #include "runtime/inference_server.hpp"
@@ -54,13 +56,21 @@ LayerPtr make_model(std::uint64_t seed) {
   return net;
 }
 
+/// `noise_scale` multiplies both macros' cell and ADC noise sigmas: this
+/// tiny model's reads rarely flip a code at the default sigmas, so tests
+/// that must see the noise in the logits scale it up.
 std::unique_ptr<DeploymentPlan> make_plan(MacroMvmEngine::Mode mode,
-                                          std::uint64_t model_seed = 21) {
+                                          std::uint64_t model_seed = 21,
+                                          double noise_scale = 1.0) {
   LayerPtr net = make_model(model_seed);
   Rng data_rng(33);
   Tensor calib = Tensor::rand_uniform({8, 3, 8, 8}, data_rng, 0.0f, 1.0f);
   DeploymentOptions options;
   options.mode = mode;
+  for (MacroConfig* cfg : {&options.rom_macro, &options.sram_macro}) {
+    cfg->bitline.sigma_cell *= noise_scale;
+    cfg->adc.noise_sigma_v *= noise_scale;
+  }
   return std::make_unique<DeploymentPlan>(std::move(net), calib,
                                           std::move(options));
 }
@@ -168,44 +178,103 @@ TEST(Runtime, ScratchReuseIsDeterministic) {
   EXPECT_TRUE(bit_identical(first, second));
 }
 
-TEST(Runtime, PackedPlanMatchesLegacyEnginesAcrossResidency) {
-  // The plan executes through cache-backed (packed) engines. Re-running
-  // the same lowered graph through cache-free engines — the pre-packing
-  // legacy path — with identically seeded noise streams must produce
-  // bit-identical outputs and stats, across mixed ROM/SRAM residency.
+void expect_same_activity(const MacroRunStats& a, const MacroRunStats& b) {
+  EXPECT_EQ(a.macs, b.macs);
+  EXPECT_EQ(a.macro_ops, b.macro_ops);
+  EXPECT_EQ(a.array.adc_conversions, b.array.adc_conversions);
+  EXPECT_EQ(a.array.wl_pulses, b.array.wl_pulses);
+  EXPECT_EQ(a.array.shift_adds, b.array.shift_adds);
+  // Sums of the same per-read doubles, taken in another order.
+  EXPECT_NEAR(a.energy_pj(), b.energy_pj(), 1e-9 * a.energy_pj());
+  EXPECT_NEAR(a.latency_ns, b.latency_ns, 1e-9 * a.latency_ns);
+}
+
+TEST(Runtime, ImageOutputsAndStatsIgnoreBatchComposition) {
+  // An image's analog logits and modeled activity are a function of its
+  // own noise key: alone or fused with other images, in any position.
+  auto plan =
+      make_plan(MacroMvmEngine::Mode::kAnalog, 21, /*noise_scale=*/8.0);
+  const auto xs = make_requests(3);
+  const std::uint64_t keys[] = {noise_image_key(90, 0),
+                                noise_image_key(91, 0),
+                                noise_image_key(92, 3)};
+  ExecutionContext ctx(*plan, 1);
+  std::vector<Tensor> alone;
+  MacroRunStats alone_rom, alone_sram;
+  for (std::size_t i = 0; i < 3; ++i) {
+    ctx.reset_stats();
+    alone.push_back(ctx.infer(xs[i], std::span(&keys[i], 1)));
+    alone_rom.accumulate(ctx.rom_stats());
+    alone_sram.accumulate(ctx.sram_stats());
+  }
+
+  // Fused in a different order: image 2 first, then 0, then 1.
+  const int order[] = {2, 0, 1};
+  const Tensor fused_in = concat_rows({&xs[2], &xs[0], &xs[1]});
+  const std::uint64_t fused_keys[] = {keys[2], keys[0], keys[1]};
+  ctx.reset_stats();
+  const Tensor fused = ctx.infer(fused_in, fused_keys);
+  const std::size_t row = alone[0].size();
+  for (int pos = 0; pos < 3; ++pos) {
+    const Tensor& want = alone[static_cast<std::size_t>(order[pos])];
+    EXPECT_EQ(std::memcmp(fused.data() + row * static_cast<std::size_t>(pos),
+                          want.data(), row * sizeof(float)),
+              0)
+        << "image " << order[pos] << " at batch position " << pos;
+  }
+  expect_same_activity(alone_rom, ctx.rom_stats());
+  expect_same_activity(alone_sram, ctx.sram_stats());
+
+  // infer(images) keys image i as noise_image_key(seed, i): the first
+  // image of a batch matches the same image served alone.
+  ExecutionContext seeded(*plan, 90);
+  const Tensor pair = seeded.infer(concat_rows({&xs[0], &xs[1]}));
+  EXPECT_EQ(std::memcmp(pair.data(), alone[0].data(), row * sizeof(float)),
+            0);
+  // ...and the next call numbers on (fresh noise), until a reseed.
+  const Tensor next = seeded.infer(xs[0]);
+  EXPECT_NE(std::memcmp(next.data(), alone[0].data(), row * sizeof(float)),
+            0);
+  seeded.reseed(90);
+  EXPECT_TRUE(bit_identical(seeded.infer(xs[0]), alone[0]));
+}
+
+TEST(Runtime, PlanMatchesScalarReferenceAcrossResidency) {
+  // The plan executes through its packed engines. Re-running the same
+  // lowered graph with the scalar reference in their place, keyed
+  // exactly like ExecutionContext keys images, must produce bit-identical
+  // outputs and stats across mixed ROM/SRAM residency — which also pins
+  // the plan's layer ordinals and per-engine key salting.
   for (const auto mode :
        {MacroMvmEngine::Mode::kAnalog, MacroMvmEngine::Mode::kExactCost}) {
     auto plan = make_plan(mode);
     EXPECT_GT(plan->packed_weight_bytes(), 0u);
     EXPECT_GT(plan->rom_packed().entries(), 0u);   // b.c1 / b.c2
     EXPECT_GT(plan->sram_packed().entries(), 0u);  // head.fc
-    const auto xs = make_requests(1);
+    Rng data_rng(5);
+    const Tensor x = Tensor::rand_uniform({2, 3, 8, 8}, data_rng, 0.0f, 1.0f);
 
     const std::uint64_t seed = 7777;
     ExecutionContext ctx(*plan, seed);
-    const Tensor via_packed = ctx.infer(xs[0]);
+    const Tensor via_packed = ctx.infer(x);
 
-    // Legacy engines over the same macros, no packed cache; sessions
-    // seeded exactly like ExecutionContext wires them (the SRAM stream
-    // is salted with 0x5A5A).
-    const MacroMvmEngine legacy_rom(plan->rom_macro(), mode);
-    const MacroMvmEngine legacy_sram(plan->sram_macro(), mode);
-    Rng rom_rng(seed);
-    Rng sram_rng(seed ^ 0x5A5A);
+    const reference::ReferenceEngine ref_rom(plan->rom_engine());
+    const reference::ReferenceEngine ref_sram(plan->sram_engine());
+    const std::uint64_t keys[] = {noise_image_key(seed, 0),
+                                  noise_image_key(seed, 1)};
     MacroRunStats rom_stats, sram_stats;
-    MvmScratch scratch;
     MvmBinding binding;
-    binding.slot(EngineKind::kRom) = {&legacy_rom,
-                                      {&rom_rng, &rom_stats, &scratch}};
-    binding.slot(EngineKind::kSram) = {&legacy_sram,
-                                       {&sram_rng, &sram_stats, &scratch}};
-    Tensor via_legacy;
+    binding.slot(EngineKind::kRom) = {
+        &ref_rom, reference::analog_session(keys, 2, rom_stats)};
+    binding.slot(EngineKind::kSram) = {
+        &ref_sram, reference::analog_session(keys, 2, sram_stats)};
+    Tensor via_reference;
     {
       MvmBinding::Scope scope(binding);
-      via_legacy = plan->model().forward(xs[0], /*train=*/false);
+      via_reference = plan->model().forward(x, /*train=*/false);
     }
 
-    EXPECT_TRUE(bit_identical(via_packed, via_legacy));
+    EXPECT_TRUE(bit_identical(via_packed, via_reference));
     expect_stats_identical(ctx.rom_stats(), rom_stats);
     expect_stats_identical(ctx.sram_stats(), sram_stats);
   }

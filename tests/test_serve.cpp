@@ -1,9 +1,9 @@
 // Serving-scheduler semantics (src/serve/): priority ordering under
 // contention, deadline expiry failing fast without skewing served-work
 // metrics, admission control, graceful shutdown draining by priority,
-// telemetry plumbing — and the determinism contract the scheduler
-// inherits from the FIFO server: max_microbatch = 1 stays bit-identical
-// to serial ExecutionContext runs.
+// telemetry plumbing — and the determinism contract: a request's
+// outputs are bit-identical to a serial ExecutionContext run seeded
+// noise_seed + id, at any max_microbatch.
 
 #include <gtest/gtest.h>
 
@@ -66,12 +66,20 @@ LayerPtr make_model(std::uint64_t seed) {
   return net;
 }
 
-std::unique_ptr<DeploymentPlan> make_plan(MacroMvmEngine::Mode mode) {
+/// `noise_scale` multiplies both macros' cell and ADC noise sigmas: this
+/// tiny model's reads rarely flip a code at the default sigmas, so tests
+/// that must see the noise in the logits scale it up.
+std::unique_ptr<DeploymentPlan> make_plan(MacroMvmEngine::Mode mode,
+                                          double noise_scale = 1.0) {
   LayerPtr net = make_model(21);
   Rng data_rng(33);
   Tensor calib = Tensor::rand_uniform({8, 3, 8, 8}, data_rng, 0.0f, 1.0f);
   DeploymentOptions options;
   options.mode = mode;
+  for (MacroConfig* cfg : {&options.rom_macro, &options.sram_macro}) {
+    cfg->bitline.sigma_cell *= noise_scale;
+    cfg->adc.noise_sigma_v *= noise_scale;
+  }
   return std::make_unique<DeploymentPlan>(std::move(net), calib,
                                           std::move(options));
 }
@@ -460,7 +468,7 @@ TEST(Scheduler, MixedPriorityMicrobatchOneBitIdenticalToSerial) {
   std::vector<std::future<Tensor>> futures;
   for (int i = 0; i < kRequests; ++i) {
     // Classes cycle: execution ORDER varies with priority, but each
-    // request's noise stream is pinned to its admission id, so every
+    // request's noise keys derive from its admission id, so every
     // output must still be bit-identical to the serial reference.
     SubmitOptions so;
     so.priority = static_cast<Priority>(i % kPriorityClassCount);
@@ -482,6 +490,61 @@ TEST(Scheduler, MixedPriorityMicrobatchOneBitIdenticalToSerial) {
     EXPECT_EQ(snap.classes[static_cast<std::size_t>(c)].queue_wait.count, 3u);
     EXPECT_EQ(snap.classes[static_cast<std::size_t>(c)].e2e.count, 3u);
   }
+}
+
+TEST(Scheduler, RequestLogitsIgnoreCoBatchedTraffic) {
+  // At max_microbatch = 8 a request's analog logits depend only on its
+  // own id: the same request fused with two different sets of traffic
+  // (different inputs, sizes, counts and batch position) answers
+  // bit-identically, and equals a serial run seeded noise_seed + id.
+  auto plan = make_plan(MacroMvmEngine::Mode::kAnalog, /*noise_scale=*/8.0);
+  const std::uint64_t kSeed = 4040;
+  const Tensor target = make_input(61, {1, 3, 8, 8});
+  // `lead` (id 1) goes to `lead_lane`: in the batch lane it is fused
+  // ahead of the target, in the best-effort lane it runs on its own.
+  const auto serve_with = [&](Priority lead_lane,
+                              const std::vector<Tensor>& traffic) {
+    SchedulerOptions options;
+    options.workers = 1;
+    options.max_microbatch = 8;
+    options.noise_seed = kSeed;
+    Scheduler scheduler(*plan, options);
+    // The blocker (id 0) pins the worker while the batch lane fills, so
+    // the target (id 2) and the traffic behind it fuse into one batch.
+    auto blocker = scheduler.submit(make_blocker_input(),
+                                    {Priority::kInteractive,
+                                     milliseconds(0)});
+    auto lead = scheduler.submit(make_input(62, {2, 3, 8, 8}),
+                                 {lead_lane, milliseconds(0)});
+    auto answer = scheduler.submit(target);
+    std::vector<std::future<Tensor>> others;
+    for (const Tensor& t : traffic) others.push_back(scheduler.submit(t));
+    (void)blocker.get();
+    (void)lead.get();
+    Tensor out = answer.get();
+    for (auto& f : others) (void)f.get();
+    scheduler.wait_idle();
+    EXPECT_GE(scheduler.metrics_snapshot().max_batch_occupancy,
+              static_cast<int>(traffic.size()) + 1)
+        << "the target must have been fused with the traffic";
+    return out;
+  };
+  const Tensor a = serve_with(Priority::kBatch,
+                              {make_input(70, {1, 3, 8, 8}),
+                               make_input(71, {1, 3, 8, 8}),
+                               make_input(72, {1, 3, 8, 8})});
+  const Tensor b = serve_with(Priority::kBestEffort,
+                              {make_input(80, {2, 3, 8, 8}),
+                               make_input(81, {3, 3, 8, 8}),
+                               make_input(82, {1, 3, 8, 8}),
+                               make_input(83, {2, 3, 8, 8}),
+                               make_input(84, {1, 3, 8, 8})});
+  EXPECT_TRUE(bit_identical(a, b));
+  ExecutionContext serial(*plan, kSeed + 2);
+  EXPECT_TRUE(bit_identical(serial.infer(target), a));
+  // The noise is visible in these logits: another seed moves them.
+  ExecutionContext other(*plan, kSeed + 3);
+  EXPECT_FALSE(bit_identical(other.infer(target), a));
 }
 
 TEST(Scheduler, PriorityOrderingUnderContention) {
@@ -903,8 +966,8 @@ TEST(SchedulerWeighted, MicrobatchOneStaysBitIdenticalToSerial) {
         ctx.infer(inputs[static_cast<std::size_t>(i)]);
   }
 
-  // Weighted-fair reorders SERVICE, not noise streams: admission ids
-  // still pin each request's stream, so outputs stay bit-identical.
+  // Weighted-fair reorders SERVICE, not noise keys: admission ids
+  // still key each request's noise, so outputs stay bit-identical.
   SchedulerOptions options;
   options.workers = 2;
   options.max_microbatch = 1;

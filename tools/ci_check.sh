@@ -8,8 +8,10 @@
 #                 built here if the directory is missing);
 #   2. tsan     — a ThreadSanitizer build (<build-dir>-tsan) running the
 #                 concurrency-heavy labels: serve | trace | fault;
-#   3. asan     — an AddressSanitizer build (<build-dir>-asan) running
-#                 the wire/format labels: http | serde.
+#   3. asan     — an AddressSanitizer + UndefinedBehaviorSanitizer build
+#                 (<build-dir>-asan) running the wire/format labels and
+#                 the macro kernel (noise hashing, quantile-table
+#                 indexing): http | serde | macro.
 #
 # Every gate runs even after an earlier one fails, so a single pass
 # reports ALL the breakage; the exit code is non-zero when any gate
@@ -67,7 +69,7 @@ run_gate() {
 
 run_gate tier-1 "$build" ""
 run_gate tsan "${build}-tsan" "-DYOLOC_TSAN=ON" -L "serve|trace|fault"
-run_gate asan "${build}-asan" "-DYOLOC_ASAN=ON" -L "http|serde"
+run_gate asan "${build}-asan" "-DYOLOC_ASAN=ON" -L "http|serde|macro"
 
 echo
 echo "== ci_check summary =="

@@ -307,6 +307,9 @@ int main(int argc, char** argv) {
             ? static_cast<std::uint64_t>(config.max_requests)
             : UINT64_MAX;
 
+    // The open loop's Poisson schedule: sender threads read it until
+    // they are joined, so it lives as long as `threads`.
+    std::vector<double> arrivals_s;
     std::vector<std::thread> threads;
     threads.reserve(static_cast<std::size_t>(config.concurrency));
 
@@ -339,7 +342,6 @@ int main(int argc, char** argv) {
       // the sender threads; each sender sleeps to its own arrivals.
       std::mt19937_64 arrival_rng(config.seed ^ 0x9e3779b97f4a7c15ull);
       std::exponential_distribution<double> gap(config.rate);
-      std::vector<double> arrivals_s;
       double t = 0.0;
       while (t < config.duration_s &&
              arrivals_s.size() < request_cap) {

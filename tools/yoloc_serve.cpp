@@ -41,7 +41,8 @@ int usage() {
       "  --port N                TCP port; 0 = ephemeral (default 0)\n"
       "  --port-file PATH        write the bound port to PATH\n"
       "  --workers N             scheduler workers (default: hardware)\n"
-      "  --max-microbatch N      batch fusion cap; 1 = deterministic\n"
+      "  --max-microbatch N      batch fusion cap (outputs do not depend "
+      "on it)\n"
       "  --max-queue-depth N     admission cap per lane; 0 = unlimited\n"
       "  --default-deadline-ms X deadline for requests without one\n"
       "  --weighted              DWRR lane weights 8:3:1 instead of strict\n"
